@@ -69,14 +69,14 @@ def _resolve_angle(args) -> float:
 
 
 def cmd_sweep(args) -> int:
-    if args.a_min <= 0:
-        return _usage(f"--a-min must be positive, got {args.a_min}")
-    if args.a_max <= args.a_min:
-        return _usage(f"--a-max must exceed --a-min, got {args.a_max}")
+    if not 0 < args.a_min < np.inf:
+        return _usage(f"--a-min must be positive and finite, got {args.a_min}")
+    if not args.a_min < args.a_max < np.inf:
+        return _usage(f"--a-max must be finite and exceed --a-min, got {args.a_max}")
     if args.steps < 2:
         return _usage(f"--steps must be >= 2, got {args.steps}")
-    if args.omega <= 0:
-        return _usage(f"--omega must be positive, got {args.omega}")
+    if not 0 < args.omega < np.inf:
+        return _usage(f"--omega must be positive and finite, got {args.omega}")
 
     if args.scale == "log":
         grid = np.geomspace(args.a_min, args.a_max, args.steps)
@@ -197,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scale", choices=("log", "linear"), default="log")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--out", default=None)
-    sweep.add_argument("--seed", type=int, default=0,
-                       help="seed reserved for Monte-Carlo modes")
     sweep.set_defaults(func=cmd_sweep)
 
     channel = sub.add_parser("channel", help="Choi/Kraus data at one angle")
@@ -208,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     channel.add_argument("--mode", choices=("choi", "kraus", "invert"),
                          default="kraus")
     channel.add_argument("--out", default=None)
-    channel.add_argument("--seed", type=int, default=0,
-                         help="seed reserved for Monte-Carlo modes")
     channel.set_defaults(func=cmd_channel)
 
     geom = sub.add_parser("geometry", help="sample the image spheroid")
@@ -219,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     geom.add_argument("--steps", type=int, default=10000,
                       help="Simpson subintervals for the volume quadrature")
     geom.add_argument("--out", default=None)
-    geom.add_argument("--seed", type=int, default=0,
-                      help="seed reserved for Monte-Carlo modes")
     geom.set_defaults(func=cmd_geometry)
     return parser
 

@@ -9,7 +9,6 @@ Entropic quantities are in bits.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .qmat import (
     IDENTITY_2,
     PAULIS,
-    SIGMA_Y,
     eig_hermitian,
     partial_trace,
     sqrt_psd,
@@ -53,40 +51,44 @@ class MeasureReport(NamedTuple):
 
 
 def _two_qubit(rho: np.ndarray) -> np.ndarray:
+    """Validate once at the API boundary; the private bodies trust their input."""
     rho = validate_density_matrix(rho)
     if rho.shape[0] != 4:
         raise ValueError(f"expected a two-qubit state, got dimension {rho.shape[0]}")
     return rho
 
 
+# _PAULI_BASIS[i, j] = s_i (x) s_j with s_0 = I and (s_1, s_2, s_3) = PAULIS.
+_SIGMAS = (IDENTITY_2,) + PAULIS
+_PAULI_BASIS = np.array([[np.kron(si, sj) for sj in _SIGMAS] for si in _SIGMAS])
+
+
+def _decompose(rho: np.ndarray) -> TwoQubitDecomposition:
+    t = np.array([[np.trace(rho @ p).real for p in row] for row in _PAULI_BASIS])
+    return TwoQubitDecomposition(t[1:, 0].copy(), t[0, 1:].copy(), t[1:, 1:].copy())
+
+
 def decompose(rho: np.ndarray) -> TwoQubitDecomposition:
     """Local Bloch vectors and the 3x3 correlation matrix of a state."""
-    rho = _two_qubit(rho)
-    local_a = np.array(
-        [np.trace(rho @ tensor(s, IDENTITY_2)).real for s in PAULIS]
-    )
-    local_b = np.array(
-        [np.trace(rho @ tensor(IDENTITY_2, s)).real for s in PAULIS]
-    )
-    gamma = np.array(
-        [
-            [np.trace(rho @ tensor(si, sj)).real for sj in PAULIS]
-            for si in PAULIS
-        ]
-    )
-    return TwoQubitDecomposition(local_a, local_b, gamma)
+    return _decompose(_two_qubit(rho))
 
 
 def reconstruct(dec: TwoQubitDecomposition) -> np.ndarray:
     """Rebuild the density matrix from its Bloch decomposition."""
-    rho = np.eye(4, dtype=complex)
-    for i, s in enumerate(PAULIS):
-        rho += dec.local_a[i] * tensor(s, IDENTITY_2)
-        rho += dec.local_b[i] * tensor(IDENTITY_2, s)
-    for i, si in enumerate(PAULIS):
-        for j, sj in enumerate(PAULIS):
-            rho += dec.gamma[i, j] * tensor(si, sj)
-    return rho / 4.0
+    # coeff[i, j] multiplies _PAULI_BASIS[i, j]; coeff[0, 0] = 1.
+    coeff = np.eye(4)
+    coeff[1:, 0], coeff[0, 1:], coeff[1:, 1:] = dec
+    return np.tensordot(coeff, _PAULI_BASIS, 2) / 4.0
+
+
+def _gamma_spectrum(rho: np.ndarray) -> np.ndarray:
+    # Eigenvalues of gamma^T gamma, descending; shared by bell_B and f_max.
+    gamma = _decompose(rho).gamma
+    return eig_hermitian(gamma.T @ gamma).eigenvalues
+
+
+def _bell_B(lam: np.ndarray) -> float:
+    return float(lam[0] + lam[1])
 
 
 def bell_B(rho: np.ndarray) -> float:
@@ -95,9 +97,17 @@ def bell_B(rho: np.ndarray) -> float:
     Some CHSH setting violates the classical bound exactly when the
     returned value exceeds 1.
     """
-    gamma = decompose(rho).gamma
-    lam = eig_hermitian(gamma.T @ gamma).eigenvalues
-    return float(lam[0] + lam[1])
+    return _bell_B(_gamma_spectrum(_two_qubit(rho)))
+
+
+def _concurrence(rho: np.ndarray) -> float:
+    yy = _PAULI_BASIS[2, 2]
+    root = sqrt_psd(rho)
+    m = root @ yy @ rho.conj() @ yy @ root
+    lam = eig_hermitian(m).eigenvalues
+    lam = np.where(np.abs(lam) < WOOTTERS_EIG_FLOOR, 0.0, lam)
+    vals = np.sqrt(np.clip(lam, 0.0, None))
+    return float(max(0.0, vals[0] - vals[1] - vals[2] - vals[3]))
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -107,14 +117,12 @@ def concurrence(rho: np.ndarray) -> float:
     spin-flipped spectrum is floored at WOOTTERS_EIG_FLOOR before the
     square root, which keeps exact zeros exact.
     """
-    rho = _two_qubit(rho)
-    yy = tensor(SIGMA_Y, SIGMA_Y)
-    root = sqrt_psd(rho)
-    m = root @ yy @ rho.conj() @ yy @ root
-    lam = eig_hermitian(m).eigenvalues
-    lam = np.where(np.abs(lam) < WOOTTERS_EIG_FLOOR, 0.0, lam)
-    vals = np.sqrt(np.clip(lam, 0.0, None))
-    return float(max(0.0, vals[0] - vals[1] - vals[2] - vals[3]))
+    return _concurrence(_two_qubit(rho))
+
+
+def _f_max(lam: np.ndarray) -> float:
+    trace_root = float(np.sum(np.sqrt(np.clip(lam, 0.0, None))))
+    return 0.5 * (1.0 + trace_root / 3.0)
 
 
 def f_max(rho: np.ndarray) -> float:
@@ -123,22 +131,18 @@ def f_max(rho: np.ndarray) -> float:
     Evaluates (1/2)(1 + Tr sqrt(gamma^T gamma) / 3); the classical
     threshold is 2/3.
     """
-    gamma = decompose(rho).gamma
-    lam = eig_hermitian(gamma.T @ gamma).eigenvalues
-    trace_root = float(np.sum(np.sqrt(np.clip(lam, 0.0, None))))
-    return 0.5 * (1.0 + trace_root / 3.0)
+    return _f_max(_gamma_spectrum(_two_qubit(rho)))
+
+
+def _mutual_information(rho: np.ndarray) -> float:
+    s_a = von_neumann_entropy(partial_trace(rho, [2, 2], 1))
+    s_b = von_neumann_entropy(partial_trace(rho, [2, 2], 0))
+    return s_a + s_b - von_neumann_entropy(rho)
 
 
 def mutual_information(rho: np.ndarray) -> float:
     """S(A) + S(B) - S(AB) in bits."""
-    rho = _two_qubit(rho)
-    rho_a = partial_trace(rho, [2, 2], 1)
-    rho_b = partial_trace(rho, [2, 2], 0)
-    return (
-        von_neumann_entropy(rho_a)
-        + von_neumann_entropy(rho_b)
-        - von_neumann_entropy(rho)
-    )
+    return _mutual_information(_two_qubit(rho))
 
 
 def _marginal_basis(marginal: np.ndarray) -> np.ndarray:
@@ -148,15 +152,7 @@ def _marginal_basis(marginal: np.ndarray) -> np.ndarray:
     return dec.eigenvectors
 
 
-def dephased(rho: np.ndarray) -> np.ndarray:
-    """Project onto the product of the marginal eigenbases.
-
-    Degenerate marginals (gap below DEGENERACY_GAP) dephase in the
-    computational basis; this fixed convention keeps the result
-    deterministic even though a degenerate marginal has no preferred
-    eigenbasis.
-    """
-    rho = _two_qubit(rho)
+def _dephased(rho: np.ndarray) -> np.ndarray:
     basis_a = _marginal_basis(partial_trace(rho, [2, 2], 1))
     basis_b = _marginal_basis(partial_trace(rho, [2, 2], 0))
     out = np.zeros_like(rho)
@@ -170,9 +166,21 @@ def dephased(rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def dephased(rho: np.ndarray) -> np.ndarray:
+    """Project onto the product of the marginal eigenbases.
+
+    Degenerate marginals (gap below DEGENERACY_GAP) dephase in the
+    computational basis; this fixed convention keeps the result
+    deterministic even though a degenerate marginal has no preferred
+    eigenbasis.
+    """
+    return _dephased(_two_qubit(rho))
+
+
 def qmid(rho: np.ndarray) -> float:
     """Measurement-induced disturbance: mutual information lost on dephasing."""
-    return mutual_information(rho) - mutual_information(dephased(rho))
+    rho = _two_qubit(rho)
+    return _mutual_information(rho) - _mutual_information(_dephased(rho))
 
 
 _BELL_OUTCOMES = np.array(
@@ -185,17 +193,16 @@ _BELL_OUTCOMES = np.array(
     dtype=complex,
 ) / np.sqrt(2.0)
 
-_CORRECTIONS = (IDENTITY_2,) + PAULIS
-
 
 def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
     """Monte-Carlo average fidelity of teleportation through rho.
 
     Haar-uniform pure inputs are drawn from a seeded generator, the
-    sender measures in the Bell basis, and the receiver's correction
-    for each outcome is chosen by brute force over all 256 assignments
-    of a Pauli (or identity) to the four outcomes, maximizing the
-    average fidelity.
+    sender measures in the Bell basis, and for each outcome the receiver
+    applies the Pauli (or identity) correction with the highest average
+    fidelity. Rounded addition is monotone, so these per-outcome maxima,
+    summed in outcome order, are exactly the best of all 256 assignments
+    of a correction to each outcome.
 
     Parameters
     ----------
@@ -222,24 +229,22 @@ def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
     cond = np.einsum("nkb,brcs,nkc->nkrs", amp, rho4, amp.conj())
 
     acc = np.empty((4, 4))
-    for p_idx, pauli in enumerate(_CORRECTIONS):
+    for p_idx, pauli in enumerate(_SIGMAS):
         w = psi @ pauli.conj()
         fid = np.einsum("nr,nkrs,ns->nk", w.conj(), cond, w).real
         acc[:, p_idx] = fid.mean(axis=0)
-
-    best = max(
-        sum(acc[k, choice[k]] for k in range(4))
-        for choice in product(range(4), repeat=4)
-    )
-    return float(best)
+    return float(sum(acc[k].max() for k in range(4)))
 
 
 def measure_report(rho: np.ndarray) -> MeasureReport:
     """All scalar measures of one state in a single record."""
+    rho = _two_qubit(rho)
+    lam = _gamma_spectrum(rho)
+    info = _mutual_information(rho)
     return MeasureReport(
-        bell_B=bell_B(rho),
-        concurrence=concurrence(rho),
-        f_max=f_max(rho),
-        qmid=qmid(rho),
-        mutual_information=mutual_information(rho),
+        bell_B=_bell_B(lam),
+        concurrence=_concurrence(rho),
+        f_max=_f_max(lam),
+        qmid=info - _mutual_information(_dephased(rho)),
+        mutual_information=info,
     )

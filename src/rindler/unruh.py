@@ -20,10 +20,10 @@ def cos_r(a: float, omega: float) -> float:
     Returns 1/sqrt(exp(-2 pi omega / a) + 1), which decreases
     monotonically from 1 (a -> 0) to 1/sqrt(2) (a -> infinity).
     """
-    if a <= 0:
-        raise ValueError(f"acceleration must be positive, got {a}")
-    if omega <= 0:
-        raise ValueError(f"mode frequency must be positive, got {omega}")
+    if not 0 < a < np.inf:
+        raise ValueError(f"acceleration must be positive and finite, got {a}")
+    if not 0 < omega < np.inf:
+        raise ValueError(f"mode frequency must be positive and finite, got {omega}")
     return float(1.0 / np.sqrt(np.exp(-2.0 * np.pi * omega / a) + 1.0))
 
 

@@ -1,12 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rindler.cli import main
+from rindler.qmat import JacobiConvergenceError
 from rindler.unruh import UnruhParams
 
 SWEEP_HEADER = "a,r,bell_half,concurrence,f_max,qmid"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def read_lines(path):
@@ -107,6 +110,12 @@ class TestSweep:
             ["sweep", "--omega", "-0.1"],
             ["sweep", "--scale", "cubic"],
             ["sweep", "--no-such-flag"],
+            ["sweep", "--a-min", "nan"],
+            ["sweep", "--a-max", "nan"],
+            ["sweep", "--a-max", "inf"],
+            ["sweep", "--omega", "nan"],
+            ["sweep", "--omega", "inf"],
+            ["sweep", "--seed", "1"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -117,6 +126,16 @@ class TestSweep:
         rc = main(["sweep", "--steps", "3", "--out", "/no/such/dir/x.csv"])
         assert rc == 3
         assert "error" in capsys.readouterr().err
+
+    def test_solver_failure_is_numerical_error(self, monkeypatch, capsys):
+        def fail(rho):
+            raise JacobiConvergenceError("no convergence")
+
+        monkeypatch.setattr("rindler.cli.measure_report", fail)
+        assert main(["sweep", "--steps", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: no convergence" in captured.err
 
 
 class TestChannel:
@@ -165,6 +184,20 @@ class TestChannel:
     def test_angle_out_of_range(self, capsys):
         assert main(["channel", "--r", "1.2"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["channel", "--a", "nan"],
+            ["channel", "--a", "inf"],
+            ["channel", "--a", "1", "--omega", "nan"],
+            ["channel", "--r", "nan"],
+            ["channel", "--r", "0.3", "--seed", "1"],
+        ],
+    )
+    def test_usage_errors(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "report.txt"
@@ -215,6 +248,8 @@ class TestGeometry:
             ["geometry", "--r", "0.1", "--n-theta", "1"],
             ["geometry", "--r", "0.1", "--steps", "10"],
             ["geometry"],
+            ["geometry", "--r", "nan"],
+            ["geometry", "--r", "0.1", "--seed", "1"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -230,3 +265,34 @@ def test_help_exits_cleanly(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+# Byte-exact CLI output recorded in tests/golden/. A refactor must leave it
+# unchanged; a deliberate output change re-records it and says so.
+GOLDEN_CASES = {
+    "sweep.csv": ["sweep", "--steps", "12"],
+    "sweep.json": ["sweep", "--steps", "12", "--format", "json"],
+    **{
+        f"channel_{mode}_r{tag}.txt": ["channel", "--r", r, "--mode", mode]
+        for mode in ("choi", "kraus", "invert")
+        for tag, r in (("0", "0"), ("0.3", "0.3"), ("pi4", repr(np.pi / 4)))
+    },
+}
+GEOMETRY_ARGV = ["geometry", "--r", "0.3", "--n-theta", "4", "--n-phi", "4"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(name, capsys):
+    assert main(GOLDEN_CASES[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_golden_geometry(tmp_path, capsys):
+    points = (GOLDEN / "geometry_points.csv").read_bytes()
+    summary = (GOLDEN / "geometry_summary.txt").read_bytes()
+    out = tmp_path / "points.csv"
+    assert main(GEOMETRY_ARGV + ["--out", str(out)]) == 0
+    assert out.read_bytes() == points
+    assert capsys.readouterr().out.encode() == summary
+    assert main(GEOMETRY_ARGV) == 0
+    assert capsys.readouterr().out.encode() == points + summary

@@ -1,7 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rindler import correlations, qmat
 from rindler.correlations import (
     bell_B,
     concurrence,
@@ -14,7 +17,7 @@ from rindler.correlations import (
     reconstruct,
     teleport_fidelity_mc,
 )
-from rindler.qmat import pure_qubit, tensor
+from rindler.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z, pure_qubit, tensor
 from rindler.unruh import shared_state
 
 R_GRID = np.linspace(0.0, np.pi / 4, 100)
@@ -55,6 +58,32 @@ def random_x_state(rng):
     rho[0, 3], rho[3, 0] = outer, outer.conjugate()
     rho[1, 2], rho[2, 1] = inner, inner.conjugate()
     return rho
+
+
+def brute_force_teleport_fidelity(rho, samples, seed):
+    """Reference Monte-Carlo estimate: best of all 256 correction assignments."""
+    rng = np.random.default_rng(seed)
+    theta = np.arccos(1.0 - 2.0 * rng.random(samples))
+    phi = 2.0 * np.pi * rng.random(samples)
+    psi = np.stack(
+        [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1
+    )
+    bell = np.array(
+        [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]],
+        dtype=complex,
+    ) / np.sqrt(2.0)
+    amp = np.einsum("kab,na->nkb", bell.conj(), psi)
+    cond = np.einsum("nkb,brcs,nkc->nkrs", amp, rho.reshape(2, 2, 2, 2), amp.conj())
+    corrections = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
+    acc = np.empty((4, 4))
+    for p_idx, pauli in enumerate(corrections):
+        w = psi @ pauli.conj()
+        acc[:, p_idx] = np.einsum("nr,nkrs,ns->nk", w.conj(), cond, w).real.mean(axis=0)
+    best = max(
+        sum(acc[k, choice[k]] for k in range(4))
+        for choice in product(range(4), repeat=4)
+    )
+    return float(best)
 
 
 def x_state_concurrence(rho):
@@ -256,6 +285,15 @@ class TestTeleportFidelityMc:
         with pytest.raises(ValueError):
             teleport_fidelity_mc(BELL_PROJECTOR, 0)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("r", [0.0, 0.3, np.pi / 4])
+    def test_equals_exhaustive_correction_search(self, r, seed):
+        rng = np.random.default_rng(seed)
+        states = (shared_state(r), random_two_qubit_density(rng), random_x_state(rng))
+        for rho in states:
+            got = teleport_fidelity_mc(rho, 3000, seed)
+            assert got == brute_force_teleport_fidelity(rho, 3000, seed)
+
 
 class TestMeasureReport:
     def test_fields_match_the_measures(self):
@@ -268,6 +306,25 @@ class TestMeasureReport:
         assert rep.mutual_information == pytest.approx(
             mutual_information(rho), abs=1e-14
         )
+
+    def test_validates_once_and_shares_spectra(self, monkeypatch):
+        calls = {"eig_hermitian": 0, "validate_density_matrix": 0}
+
+        def counting(name):
+            original = getattr(qmat, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            wrapper = counting(name)
+            monkeypatch.setattr(qmat, name, wrapper)
+            monkeypatch.setattr(correlations, name, wrapper)
+        measure_report(shared_state(0.3))
+        assert calls == {"eig_hermitian": 12, "validate_density_matrix": 1}
 
     def test_ranges(self):
         rng = np.random.default_rng(149)

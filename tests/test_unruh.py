@@ -40,7 +40,18 @@ class TestCosR:
         for a in np.geomspace(1e-3, 1e6, 40):
             assert 1 / np.sqrt(2) < cos_r(a, 0.1) <= 1.0
 
-    @pytest.mark.parametrize("a,omega", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0)])
+    @pytest.mark.parametrize(
+        "a,omega",
+        [
+            (0.0, 0.1),
+            (-1.0, 0.1),
+            (1.0, 0.0),
+            (np.nan, 0.1),
+            (np.inf, 0.1),
+            (1.0, np.nan),
+            (1.0, np.inf),
+        ],
+    )
     def test_domain_errors(self, a, omega):
         with pytest.raises(ValueError):
             cos_r(a, omega)
