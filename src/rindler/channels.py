@@ -79,6 +79,7 @@ class ChoiMatrix:
 class CpVerdict(NamedTuple):
     is_cp: bool
     min_eigenvalue: float
+    eigenvalues: np.ndarray  # full Choi spectrum, descending
 
 
 def unruh_kraus(r: float) -> KrausMap:
@@ -210,8 +211,8 @@ def kraus_from_choi(choi: ChoiMatrix) -> KrausMap:
 def is_cp(choi: ChoiMatrix) -> CpVerdict:
     """Complete positivity test: all Choi eigenvalues >= -1e-10.
 
-    The reported minimum eigenvalue is in the normalization of the
-    input (doubled or state form).
+    The reported eigenvalues are in the normalization of the input
+    (doubled or state form).
     """
     lam = eig_hermitian(choi.matrix).eigenvalues
-    return CpVerdict(bool(lam[-1] >= -1e-10), float(lam[-1]))
+    return CpVerdict(bool(lam[-1] >= -1e-10), float(lam[-1]), lam)

@@ -20,7 +20,7 @@ import numpy as np
 from .channels import choi_matrix, inverse_unruh, is_cp, kraus_from_choi, unruh_kraus
 from .correlations import measure_report
 from .geometry import spheroid_report, surface_grid
-from .qmat import JacobiConvergenceError, eig_hermitian
+from .qmat import JacobiConvergenceError
 from .unruh import R_MAX, UnruhParams, shared_state
 
 SWEEP_HEADER = "a,r,bell_half,concurrence,f_max,qmid"
@@ -134,12 +134,10 @@ def cmd_channel(args) -> int:
         for sign, op in inv.terms:
             lines.append(f"sign {sign:+d}")
             lines += _matrix_lines(op)
-        choi = choi_matrix(inv, doubled=False)
-        eigs = eig_hermitian(choi.matrix).eigenvalues
-        verdict = is_cp(choi)
+        verdict = is_cp(choi_matrix(inv, doubled=False))
         lines.append(
             "choi eigenvalues (state normalization): "
-            + ", ".join(_fmt(x) for x in eigs)
+            + ", ".join(_fmt(x) for x in verdict.eigenvalues)
         )
         lines.append(f"verdict: {'CP' if verdict.is_cp else 'NCP'}"
                      f" (min eigenvalue {_fmt(verdict.min_eigenvalue)})")

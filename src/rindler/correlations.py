@@ -16,12 +16,13 @@ import numpy as np
 from .qmat import (
     IDENTITY_2,
     PAULIS,
+    EigenDecomposition,
+    _checked_eig,
+    _entropy,
+    _psd_root,
     eig_hermitian,
     partial_trace,
-    sqrt_psd,
     tensor,
-    validate_density_matrix,
-    von_neumann_entropy,
 )
 
 # Spectrum floor for the Wootters construction: eigenvalues this close
@@ -50,12 +51,12 @@ class MeasureReport(NamedTuple):
     mutual_information: float
 
 
-def _two_qubit(rho: np.ndarray) -> np.ndarray:
-    """Validate once at the API boundary; the private bodies trust their input."""
-    rho = validate_density_matrix(rho)
-    if rho.shape[0] != 4:
-        raise ValueError(f"expected a two-qubit state, got dimension {rho.shape[0]}")
-    return rho
+def _two_qubit(rho: np.ndarray) -> tuple[np.ndarray, EigenDecomposition]:
+    """Validate once at the API boundary; the spectrum solved is shared."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a two-qubit state, got shape {rho.shape}")
+    return rho, _checked_eig(rho, "rho")
 
 
 # _PAULI_BASIS[i, j] = s_i (x) s_j with s_0 = I and (s_1, s_2, s_3) = PAULIS.
@@ -70,7 +71,7 @@ def _decompose(rho: np.ndarray) -> TwoQubitDecomposition:
 
 def decompose(rho: np.ndarray) -> TwoQubitDecomposition:
     """Local Bloch vectors and the 3x3 correlation matrix of a state."""
-    return _decompose(_two_qubit(rho))
+    return _decompose(_two_qubit(rho)[0])
 
 
 def reconstruct(dec: TwoQubitDecomposition) -> np.ndarray:
@@ -97,12 +98,12 @@ def bell_B(rho: np.ndarray) -> float:
     Some CHSH setting violates the classical bound exactly when the
     returned value exceeds 1.
     """
-    return _bell_B(_gamma_spectrum(_two_qubit(rho)))
+    return _bell_B(_gamma_spectrum(_two_qubit(rho)[0]))
 
 
-def _concurrence(rho: np.ndarray) -> float:
+def _concurrence(rho: np.ndarray, dec: EigenDecomposition) -> float:
     yy = _PAULI_BASIS[2, 2]
-    root = sqrt_psd(rho)
+    root = _psd_root(dec)
     m = root @ yy @ rho.conj() @ yy @ root
     lam = eig_hermitian(m).eigenvalues
     lam = np.where(np.abs(lam) < WOOTTERS_EIG_FLOOR, 0.0, lam)
@@ -117,7 +118,7 @@ def concurrence(rho: np.ndarray) -> float:
     spin-flipped spectrum is floored at WOOTTERS_EIG_FLOOR before the
     square root, which keeps exact zeros exact.
     """
-    return _concurrence(_two_qubit(rho))
+    return _concurrence(*_two_qubit(rho))
 
 
 def _f_max(lam: np.ndarray) -> float:
@@ -131,30 +132,27 @@ def f_max(rho: np.ndarray) -> float:
     Evaluates (1/2)(1 + Tr sqrt(gamma^T gamma) / 3); the classical
     threshold is 2/3.
     """
-    return _f_max(_gamma_spectrum(_two_qubit(rho)))
+    return _f_max(_gamma_spectrum(_two_qubit(rho)[0]))
 
 
-def _mutual_information(rho: np.ndarray) -> float:
-    s_a = von_neumann_entropy(partial_trace(rho, [2, 2], 1))
-    s_b = von_neumann_entropy(partial_trace(rho, [2, 2], 0))
-    return s_a + s_b - von_neumann_entropy(rho)
+def _information(rho: np.ndarray, dec: EigenDecomposition) -> tuple[float, list]:
+    # I(rho) from its spectrum dec, and the marginals' spectra (A first).
+    marginals = [_checked_eig(partial_trace(rho, [2, 2], traced), "entropy input")
+                 for traced in (1, 0)]
+    s_a, s_b = (_entropy(m.eigenvalues) for m in marginals)
+    return s_a + s_b - _entropy(dec.eigenvalues), marginals
 
 
 def mutual_information(rho: np.ndarray) -> float:
     """S(A) + S(B) - S(AB) in bits."""
-    return _mutual_information(_two_qubit(rho))
+    return _information(*_two_qubit(rho))[0]
 
 
-def _marginal_basis(marginal: np.ndarray) -> np.ndarray:
-    dec = eig_hermitian(marginal)
-    if abs(dec.eigenvalues[0] - dec.eigenvalues[1]) < DEGENERACY_GAP:
-        return np.eye(2, dtype=complex)
-    return dec.eigenvectors
-
-
-def _dephased(rho: np.ndarray) -> np.ndarray:
-    basis_a = _marginal_basis(partial_trace(rho, [2, 2], 1))
-    basis_b = _marginal_basis(partial_trace(rho, [2, 2], 0))
+def _dephased(rho: np.ndarray, marginals) -> np.ndarray:
+    basis_a, basis_b = (
+        np.eye(2, dtype=complex) if abs(lam[0] - lam[1]) < DEGENERACY_GAP else vecs
+        for lam, vecs in marginals
+    )
     out = np.zeros_like(rho)
     for i in range(2):
         for j in range(2):
@@ -174,13 +172,19 @@ def dephased(rho: np.ndarray) -> np.ndarray:
     deterministic even though a degenerate marginal has no preferred
     eigenbasis.
     """
-    return _dephased(_two_qubit(rho))
+    rho, dec = _two_qubit(rho)
+    return _dephased(rho, _information(rho, dec)[1])
+
+
+def _qmid(rho: np.ndarray, info: float, marginals) -> float:
+    sigma = _dephased(rho, marginals)
+    return info - _information(sigma, _checked_eig(sigma, "entropy input"))[0]
 
 
 def qmid(rho: np.ndarray) -> float:
     """Measurement-induced disturbance: mutual information lost on dephasing."""
-    rho = _two_qubit(rho)
-    return _mutual_information(rho) - _mutual_information(_dephased(rho))
+    rho, dec = _two_qubit(rho)
+    return _qmid(rho, *_information(rho, dec))
 
 
 _BELL_OUTCOMES = np.array(
@@ -210,7 +214,7 @@ def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
     samples : number of Haar samples, at least 1
     seed : generator seed; identical seeds reproduce the estimate exactly
     """
-    rho = _two_qubit(rho)
+    rho, _ = _two_qubit(rho)
     samples = int(samples)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -238,13 +242,13 @@ def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
 
 def measure_report(rho: np.ndarray) -> MeasureReport:
     """All scalar measures of one state in a single record."""
-    rho = _two_qubit(rho)
+    rho, dec = _two_qubit(rho)
     lam = _gamma_spectrum(rho)
-    info = _mutual_information(rho)
+    info, marginals = _information(rho, dec)
     return MeasureReport(
         bell_B=_bell_B(lam),
-        concurrence=_concurrence(rho),
+        concurrence=_concurrence(rho, dec),
         f_max=_f_max(lam),
-        qmid=info - _mutual_information(_dephased(rho)),
+        qmid=_qmid(rho, info, marginals),
         mutual_information=info,
     )

@@ -78,16 +78,6 @@ def radius_from_center(theta: float) -> float:
     return float(np.sqrt(3.0 - np.cos(2.0 * theta)) / (2.0 * np.sqrt(2.0)))
 
 
-def _image_cross_section_area(theta: float, r: float) -> float:
-    # pi (x^2 + y^2) of the image at polar angle theta; phi-independent.
-    return float(np.pi * (np.cos(r) * np.sin(theta)) ** 2)
-
-
-def _image_dz_dtheta(theta: float, r: float) -> float:
-    # derivative of the image z(theta); the (1 + cos 2r)/2 factor is cos^2 r
-    return float(-(np.cos(r) ** 2) * np.sin(theta))
-
-
 def spheroid_report(r: float, integration_steps: int = 10000) -> SpheroidReport:
     """Geometric summary of the channel's image of the Bloch sphere.
 
@@ -108,11 +98,13 @@ def spheroid_report(r: float, integration_steps: int = 10000) -> SpheroidReport:
     if steps % 2:
         steps += 1
 
-    thetas = np.linspace(0.0, np.pi, steps + 1)
+    # Cross-section area pi (c sin t)^2 times |dz/dt| = |-(c^2) sin t|, c = cos r;
+    # scalar np.sin on purpose, as the array form can differ in the last bit.
+    c = np.cos(r)
     integrand = np.array(
         [
-            _image_cross_section_area(t, r) * abs(_image_dz_dtheta(t, r))
-            for t in thetas
+            (np.pi * (c * s) ** 2) * abs(-(c**2) * s)
+            for s in map(np.sin, np.linspace(0.0, np.pi, steps + 1))
         ]
     )
     h = np.pi / steps

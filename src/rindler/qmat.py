@@ -167,6 +167,20 @@ def eig_hermitian(m: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
     return EigenDecomposition(lam[order], vecs[:, order])
 
 
+def _checked_eig(m: np.ndarray, name: str) -> EigenDecomposition:
+    # Density-matrix checks; the spectrum the positivity check solves is kept.
+    m = np.asarray(m, dtype=complex)
+    if not is_hermitian(m):
+        raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL}")
+    tr = np.trace(m)
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"{name} has trace {tr}, expected 1")
+    dec = eig_hermitian(m)
+    if dec.eigenvalues[-1] < PSD_TOL:
+        raise ValueError(f"{name} has negative eigenvalue {dec.eigenvalues[-1]}")
+    return dec
+
+
 def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return as complex array."""
     rho = np.asarray(rho, dtype=complex)
@@ -174,15 +188,13 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {rho.shape}")
     if rho.shape[0] not in (2, 4, 8):
         raise ValueError(f"{name} has unsupported dimension {rho.shape[0]}")
-    if not is_hermitian(rho):
-        raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"{name} has trace {tr}, expected 1")
-    lam = eig_hermitian(rho).eigenvalues
-    if lam[-1] < PSD_TOL:
-        raise ValueError(f"{name} has negative eigenvalue {lam[-1]}")
+    _checked_eig(rho, name)
     return rho
+
+
+def _psd_root(dec: EigenDecomposition) -> np.ndarray:
+    vecs, root = dec.eigenvectors, np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
+    return vecs @ np.diag(root) @ vecs.conj().T
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -192,29 +204,22 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     zero; anything below that is rejected.
     """
     dec = eig_hermitian(m)
-    lam = dec.eigenvalues
-    if lam[-1] < -1e-8:
-        raise ValueError(f"matrix is not PSD, eigenvalue {lam[-1]}")
-    lam = np.clip(lam, 0.0, None)
-    vecs = dec.eigenvectors
-    return vecs @ np.diag(np.sqrt(lam)) @ vecs.conj().T
+    if dec.eigenvalues[-1] < -1e-8:
+        raise ValueError(f"matrix is not PSD, eigenvalue {dec.eigenvalues[-1]}")
+    return _psd_root(dec)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -sum(lam * log2 lam) in bits, with 0*log0 taken as 0."""
-    rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho):
-        raise ValueError("entropy input is not Hermitian within 1e-10")
-    if abs(np.trace(rho) - 1.0) > 1e-10:
-        raise ValueError(f"entropy input has trace {np.trace(rho)}, expected 1")
-    lam = eig_hermitian(rho).eigenvalues
-    if lam[-1] < PSD_TOL:
-        raise ValueError(f"entropy input has negative eigenvalue {lam[-1]}")
+def _entropy(lam: np.ndarray) -> float:
     s = 0.0
     for x in lam:
         if x > 0.0:
             s -= x * np.log2(x)
     return float(s)
+
+
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Entropy -sum(lam * log2 lam) in bits, with 0*log0 taken as 0."""
+    return _entropy(_checked_eig(rho, "entropy input").eigenvalues)
 
 
 def pure_qubit(theta: float, phi: float) -> np.ndarray:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rindler import channels, cli, qmat
 from rindler.cli import main
 from rindler.qmat import JacobiConvergenceError
 from rindler.unruh import UnruhParams
@@ -164,6 +165,22 @@ class TestChannel:
         assert "-0.166666666667" in out
         assert "NCP" in out
 
+    def test_invert_solves_the_choi_matrix_once(self, monkeypatch, capsys):
+        solved = []
+        eig = qmat.eig_hermitian
+
+        def counting(m, *args, **kwargs):
+            solved.append(m)
+            return eig(m, *args, **kwargs)
+
+        for module in (qmat, channels, cli):
+            monkeypatch.setattr(module, "eig_hermitian", counting, raising=False)
+        for _ in range(2):
+            solved.clear()
+            assert main(["channel", "--r", "0.3", "--mode", "invert"]) == 0
+            assert len(solved) == 1
+        capsys.readouterr()
+
     def test_invert_at_rest_is_cp(self, capsys):
         assert main(["channel", "--r", "0", "--mode", "invert"]) == 0
         out = capsys.readouterr().out
@@ -275,8 +292,15 @@ GOLDEN_CASES = {
     **{
         f"channel_{mode}_r{tag}.txt": ["channel", "--r", r, "--mode", mode]
         for mode in ("choi", "kraus", "invert")
-        for tag, r in (("0", "0"), ("0.3", "0.3"), ("pi4", repr(np.pi / 4)))
+        for tag, r in (("0", "0"), ("0.3", "0.3"), ("pi4", repr(np.pi / 4)),
+                       ("1e-6", "1e-6"))
     },
+    **{
+        f"channel_{mode}_a4.6.txt":
+            ["channel", "--a", "4.6", "--omega", "0.1", "--mode", mode]
+        for mode in ("choi", "kraus", "invert")
+    },
+    "sweep_linear.csv": ["sweep", "--steps", "12", "--scale", "linear"],
 }
 GEOMETRY_ARGV = ["geometry", "--r", "0.3", "--n-theta", "4", "--n-phi", "4"]
 

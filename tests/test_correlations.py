@@ -307,24 +307,42 @@ class TestMeasureReport:
             mutual_information(rho), abs=1e-14
         )
 
-    def test_validates_once_and_shares_spectra(self, monkeypatch):
-        calls = {"eig_hermitian": 0, "validate_density_matrix": 0}
+    # Eigensolves per public call: the input once (its validation, reused
+    # for S(AB) and sqrt(rho)), each marginal once (entropy and dephasing
+    # basis), plus gamma^T gamma, the Wootters matrix and the dephased
+    # state with its two marginals, as each call needs them.
+    @pytest.mark.parametrize(
+        "measure, solves",
+        [
+            pytest.param(measure_report, 8, id="measure_report"),
+            pytest.param(concurrence, 2, id="concurrence"),
+            pytest.param(mutual_information, 3, id="mutual_information"),
+            pytest.param(qmid, 6, id="qmid"),
+        ],
+    )
+    def test_validates_once_and_shares_spectra(self, monkeypatch, measure, solves):
+        solved, checked = [], []
+        eig, check = qmat.eig_hermitian, qmat._checked_eig
 
-        def counting(name):
-            original = getattr(qmat, name)
+        def counting_eig(m, *args, **kwargs):
+            solved.append(np.array(m))
+            return eig(m, *args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+        def counting_check(m, name):
+            checked.append(name)
+            return check(m, name)
 
-            return wrapper
-
-        for name in calls:
-            wrapper = counting(name)
-            monkeypatch.setattr(qmat, name, wrapper)
-            monkeypatch.setattr(correlations, name, wrapper)
-        measure_report(shared_state(0.3))
-        assert calls == {"eig_hermitian": 12, "validate_density_matrix": 1}
+        for module in (qmat, correlations):
+            monkeypatch.setattr(module, "eig_hermitian", counting_eig)
+            monkeypatch.setattr(module, "_checked_eig", counting_check)
+        rho = shared_state(0.3)
+        for _ in range(2):
+            solved.clear()
+            checked.clear()
+            measure(rho)
+            assert len(solved) == solves
+            assert sum(np.array_equal(m, rho) for m in solved) == 1
+            assert checked.count("rho") == 1
 
     def test_ranges(self):
         rng = np.random.default_rng(149)
