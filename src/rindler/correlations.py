@@ -22,7 +22,6 @@ from .qmat import (
     _psd_root,
     eig_hermitian,
     partial_trace,
-    tensor,
 )
 
 # Spectrum floor for the Wootters construction: eigenvalues this close
@@ -51,10 +50,14 @@ class MeasureReport(NamedTuple):
     mutual_information: float
 
 
-def _two_qubit(rho: np.ndarray) -> tuple[np.ndarray, EigenDecomposition]:
-    """Validate once at the API boundary; the spectrum solved is shared."""
+def _two_qubit(rho: np.ndarray, stacked=False) -> tuple[np.ndarray, EigenDecomposition]:
+    """Validate once at the API boundary; the spectrum solved is shared.
+
+    With stacked, a stack (..., 4, 4) of states is accepted too; the
+    private bodies below work on either, with the same arithmetic per state.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4) or (rho.ndim > 2 and not stacked):
         raise ValueError(f"expected a two-qubit state, got shape {rho.shape}")
     return rho, _checked_eig(rho, "rho")
 
@@ -65,8 +68,10 @@ _PAULI_BASIS = np.array([[np.kron(si, sj) for sj in _SIGMAS] for si in _SIGMAS])
 
 
 def _decompose(rho: np.ndarray) -> TwoQubitDecomposition:
-    t = np.array([[np.trace(rho @ p).real for p in row] for row in _PAULI_BASIS])
-    return TwoQubitDecomposition(t[1:, 0].copy(), t[0, 1:].copy(), t[1:, 1:].copy())
+    # One stacked product per Pauli pair: the temporary holds one matrix per state.
+    t = np.moveaxis([[np.trace(rho @ p, axis1=-2, axis2=-1).real for p in row]
+                     for row in _PAULI_BASIS], (0, 1), (-2, -1)).copy()
+    return TwoQubitDecomposition(t[..., 1:, 0], t[..., 0, 1:], t[..., 1:, 1:])
 
 
 def decompose(rho: np.ndarray) -> TwoQubitDecomposition:
@@ -85,11 +90,11 @@ def reconstruct(dec: TwoQubitDecomposition) -> np.ndarray:
 def _gamma_spectrum(rho: np.ndarray) -> np.ndarray:
     # Eigenvalues of gamma^T gamma, descending; shared by bell_B and f_max.
     gamma = _decompose(rho).gamma
-    return eig_hermitian(gamma.T @ gamma).eigenvalues
+    return eig_hermitian(gamma.swapaxes(-1, -2) @ gamma).eigenvalues
 
 
-def _bell_B(lam: np.ndarray) -> float:
-    return float(lam[0] + lam[1])
+def _bell_B(lam: np.ndarray) -> np.ndarray:
+    return lam[..., 0] + lam[..., 1]
 
 
 def bell_B(rho: np.ndarray) -> float:
@@ -98,17 +103,18 @@ def bell_B(rho: np.ndarray) -> float:
     Some CHSH setting violates the classical bound exactly when the
     returned value exceeds 1.
     """
-    return _bell_B(_gamma_spectrum(_two_qubit(rho)[0]))
+    return float(_bell_B(_gamma_spectrum(_two_qubit(rho)[0])))
 
 
-def _concurrence(rho: np.ndarray, dec: EigenDecomposition) -> float:
+def _concurrence(rho: np.ndarray, dec: EigenDecomposition) -> np.ndarray:
     yy = _PAULI_BASIS[2, 2]
     root = _psd_root(dec)
     m = root @ yy @ rho.conj() @ yy @ root
     lam = eig_hermitian(m).eigenvalues
     lam = np.where(np.abs(lam) < WOOTTERS_EIG_FLOOR, 0.0, lam)
     vals = np.sqrt(np.clip(lam, 0.0, None))
-    return float(max(0.0, vals[0] - vals[1] - vals[2] - vals[3]))
+    c = vals[..., 0] - vals[..., 1] - vals[..., 2] - vals[..., 3]
+    return np.where(c > 0.0, c, 0.0)
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -118,11 +124,11 @@ def concurrence(rho: np.ndarray) -> float:
     spin-flipped spectrum is floored at WOOTTERS_EIG_FLOOR before the
     square root, which keeps exact zeros exact.
     """
-    return _concurrence(*_two_qubit(rho))
+    return float(_concurrence(*_two_qubit(rho)))
 
 
-def _f_max(lam: np.ndarray) -> float:
-    trace_root = float(np.sum(np.sqrt(np.clip(lam, 0.0, None))))
+def _f_max(lam: np.ndarray) -> np.ndarray:
+    trace_root = np.sum(np.sqrt(np.clip(lam, 0.0, None)), axis=-1)
     return 0.5 * (1.0 + trace_root / 3.0)
 
 
@@ -132,10 +138,10 @@ def f_max(rho: np.ndarray) -> float:
     Evaluates (1/2)(1 + Tr sqrt(gamma^T gamma) / 3); the classical
     threshold is 2/3.
     """
-    return _f_max(_gamma_spectrum(_two_qubit(rho)[0]))
+    return float(_f_max(_gamma_spectrum(_two_qubit(rho)[0])))
 
 
-def _information(rho: np.ndarray, dec: EigenDecomposition) -> tuple[float, list]:
+def _information(rho: np.ndarray, dec: EigenDecomposition) -> tuple[np.ndarray, list]:
     # I(rho) from its spectrum dec, and the marginals' spectra (A first).
     marginals = [_checked_eig(partial_trace(rho, [2, 2], traced), "entropy input")
                  for traced in (1, 0)]
@@ -145,21 +151,23 @@ def _information(rho: np.ndarray, dec: EigenDecomposition) -> tuple[float, list]
 
 def mutual_information(rho: np.ndarray) -> float:
     """S(A) + S(B) - S(AB) in bits."""
-    return _information(*_two_qubit(rho))[0]
+    return float(_information(*_two_qubit(rho))[0])
 
 
 def _dephased(rho: np.ndarray, marginals) -> np.ndarray:
-    basis_a, basis_b = (
-        np.eye(2, dtype=complex) if abs(lam[0] - lam[1]) < DEGENERACY_GAP else vecs
-        for lam, vecs in marginals
-    )
+    # outer[k][..., r, c, i] = u[r] u[c]^* for the i-th basis vector u of
+    # marginal k; each projector is a Kronecker product of two of these.
+    outer = []
+    for lam, vecs in marginals:
+        flat = (np.abs(lam[..., 0] - lam[..., 1]) < DEGENERACY_GAP)[..., None, None]
+        basis = np.where(flat, np.eye(2, dtype=complex), vecs)
+        outer.append(basis[..., :, None, :] * basis.conj()[..., None, :, :])
     out = np.zeros_like(rho)
     for i in range(2):
         for j in range(2):
-            proj = tensor(
-                np.outer(basis_a[:, i], basis_a[:, i].conj()),
-                np.outer(basis_b[:, j], basis_b[:, j].conj()),
-            )
+            pa, pb = outer[0][..., i], outer[1][..., j]
+            proj = pa[..., :, None, :, None] * pb[..., None, :, None, :]
+            proj = proj.reshape(rho.shape)
             out += proj @ rho @ proj
     return out
 
@@ -176,7 +184,7 @@ def dephased(rho: np.ndarray) -> np.ndarray:
     return _dephased(rho, _information(rho, dec)[1])
 
 
-def _qmid(rho: np.ndarray, info: float, marginals) -> float:
+def _qmid(rho: np.ndarray, info: np.ndarray, marginals) -> np.ndarray:
     sigma = _dephased(rho, marginals)
     return info - _information(sigma, _checked_eig(sigma, "entropy input"))[0]
 
@@ -184,7 +192,7 @@ def _qmid(rho: np.ndarray, info: float, marginals) -> float:
 def qmid(rho: np.ndarray) -> float:
     """Measurement-induced disturbance: mutual information lost on dephasing."""
     rho, dec = _two_qubit(rho)
-    return _qmid(rho, *_information(rho, dec))
+    return float(_qmid(rho, *_information(rho, dec)))
 
 
 _BELL_OUTCOMES = np.array(
@@ -241,14 +249,19 @@ def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
 
 
 def measure_report(rho: np.ndarray) -> MeasureReport:
-    """All scalar measures of one state in a single record."""
-    rho, dec = _two_qubit(rho)
+    """All scalar measures of a state in a single record.
+
+    A stack of states (..., 4, 4) is measured in one batched pass and
+    gives a record of arrays; entry i equals the report of state i alone.
+    """
+    rho, dec = _two_qubit(rho, stacked=True)
     lam = _gamma_spectrum(rho)
     info, marginals = _information(rho, dec)
-    return MeasureReport(
+    rep = MeasureReport(
         bell_B=_bell_B(lam),
         concurrence=_concurrence(rho, dec),
         f_max=_f_max(lam),
         qmid=_qmid(rho, info, marginals),
         mutual_information=info,
     )
+    return MeasureReport(*map(float, rep)) if rho.ndim == 2 else rep

@@ -14,6 +14,7 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = -1e-10
+_TINY = np.finfo(float).tiny
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -37,9 +38,13 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _dag(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - _dag(m))) <= tol)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,7 +66,7 @@ def partial_trace(rho: np.ndarray, dims: list[int], traced: int) -> np.ndarray:
 
     Parameters
     ----------
-    rho : square matrix over the full product space
+    rho : square matrix over the full product space, or a stack of them
     dims : list of subsystem dimensions, leftmost factor first
     traced : index into dims of the factor to remove
 
@@ -72,42 +77,65 @@ def partial_trace(rho: np.ndarray, dims: list[int], traced: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     dims = list(dims)
     total = int(np.prod(dims))
-    if rho.shape != (total, total):
+    if rho.shape[-2:] != (total, total):
         raise ValueError(
             f"matrix shape {rho.shape} does not match subsystem dims {dims}"
         )
     if not 0 <= traced < len(dims):
         raise ValueError(f"traced index {traced} out of range for {len(dims)} factors")
-    k = len(dims)
-    resh = rho.reshape(dims + dims)
-    reduced = np.trace(resh, axis1=traced, axis2=k + traced)
+    lead, k = rho.shape[:-2], len(dims)
+    resh = rho.reshape(lead + tuple(dims + dims))
+    reduced = np.trace(resh, axis1=len(lead) + traced, axis2=len(lead) + k + traced)
     keep = total // dims[traced]
-    return reduced.reshape(keep, keep)
+    return reduced.reshape(lead + (keep, keep))
 
 
-def _jacobi_rotation(alpha: float, beta: float, g: complex) -> np.ndarray:
-    # 2x2 unitary J with J^dag [[alpha, g],[conj(g), beta]] J diagonal.
-    # The phase of g is absorbed first, then a standard real rotation
-    # annihilates the off-diagonal entry.
-    absg = abs(g)
-    phase = g / absg
-    tau = (beta - alpha) / (2.0 * absg)
-    if tau >= 0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+def _unconverged(a: np.ndarray, live):
+    # The matrices of a[live] whose off-diagonal Frobenius norm exceeds
+    # 1e-13: live itself while that is all of them, None once it is none.
+    n = a.shape[-1]
+    sq = np.abs(a[live]).reshape(-1, n * n) ** 2
+    sq[:, :: n + 1] = 0.0
+    norm = np.sqrt(np.sum(sq, axis=-1))
+    keep = ~(norm <= 1e-13)
+    if np.count_nonzero(keep) == len(keep):
+        return live
+    return np.arange(len(a))[live][keep] if np.count_nonzero(keep) else None
+
+
+def _rotate(a: np.ndarray, v: np.ndarray, live, p: int, q: int, eye) -> None:
+    # One Jacobi step on entry (p, q) of every matrix in a[live], in place.
+    # The phase of g is absorbed first, then a real rotation annihilates it.
+    # |g| below the smallest normal float counts as zero: g / |g| overflows.
+    g = a[live, p, q]
+    absg = np.hypot(g.real, g.imag)
+    turn = absg >= _TINY
+    if not np.count_nonzero(turn):
+        return
+    if np.count_nonzero(turn) < len(turn):
+        live, g, absg = np.arange(len(a))[live][turn], g[turn], absg[turn]
+    phase = (g / absg).conj()
+    tau = (a[live, q, q].real - a[live, p, p].real) / (2.0 * absg)
+    t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    np.negative(t, out=t, where=tau < 0)
     c = 1.0 / np.sqrt(1.0 + t * t)
     s = t * c
-    return np.array([[c, s], [-s * phase.conjugate(), c * phase.conjugate()]])
+    j = np.empty((len(g),) + eye.shape, dtype=complex)
+    j[:] = eye
+    j[:, p, p], j[:, p, q], j[:, q, p], j[:, q, q] = c, s, -s * phase, c * phase
+    a[live] = _dag(j) @ a[live] @ j
+    v[live] = v[live] @ j
 
 
 def eig_hermitian(m: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
-    Deterministic by construction: fixed sweep order over the upper
-    triangle, convergence when the off-diagonal Frobenius norm drops to
-    1e-13, eigenvalues sorted descending with exact ties broken by
-    lexicographic comparison of the (phase-fixed) eigenvector entries.
+    Cyclic Jacobi rotations, deterministic by construction: fixed sweep
+    order over the upper triangle, convergence of each matrix when its
+    off-diagonal Frobenius norm drops to 1e-13, eigenvalues sorted
+    descending with exact ties broken by lexicographic comparison of the
+    (phase-fixed) eigenvector entries. A stack (..., n, n) is solved in
+    one pass, each matrix to the same bits as when solved alone.
 
     Raises
     ------
@@ -117,67 +145,62 @@ def eig_hermitian(m: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
         If max_sweeps cyclic sweeps do not reach the threshold.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within 1e-10")
-    n = m.shape[0]
-    a = (m + m.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
+    n, eye = m.shape[-1], np.eye(m.shape[-1], dtype=complex)
+    a = ((m + _dag(m)) / 2.0).reshape(-1, n, n)
+    v = np.broadcast_to(eye, a.shape).copy()
 
-    converged = False
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off <= 1e-13:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                if abs(g) == 0.0:
-                    continue
-                j2 = _jacobi_rotation(a[p, p].real, a[q, q].real, g)
-                j = np.eye(n, dtype=complex)
-                j[np.ix_([p, q], [p, q])] = j2
-                a = j.conj().T @ a @ j
-                v = v @ j
-    else:
-        converged = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2)) <= 1e-13
-    if not converged:
+    # live selects the matrices still rotating: all of them, as a slice,
+    # until one converges, then an index array. tau overflows only for a
+    # tiny |g|; t is then 0, its limit, and the rotation absorbs g's phase.
+    live = slice(None)
+    with np.errstate(over="ignore"):
+        for _ in range(max_sweeps):
+            live = _unconverged(a, live)
+            if live is None:
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    _rotate(a, v, live, p, q, eye)
+        else:
+            live = _unconverged(a, live)
+    if live is not None:
         raise JacobiConvergenceError(
             f"no convergence after {max_sweeps} sweeps on dimension {n}"
         )
 
-    lam = np.real(np.diag(a)).copy()
-    vecs = v.copy()
+    lam = a.diagonal(axis1=-2, axis2=-1).real
+    rows, cols = np.arange(len(a))[:, None], np.arange(n)
     # Fix each eigenvector's global phase so its first significant entry
     # is real and positive; this makes the tie-break below well defined.
-    for i in range(n):
-        col = vecs[:, i]
-        for x in col:
-            if abs(x) > 1e-12:
-                vecs[:, i] = col * (x.conjugate() / abs(x))
-                break
-
-    def tie_key(i):
-        col = vecs[:, i]
-        return tuple(t for x in col for t in (x.real, x.imag))
-
-    order = sorted(range(n), key=lambda i: (-lam[i], tie_key(i)))
-    return EigenDecomposition(lam[order], vecs[:, order])
+    # The columns of v are unit vectors, so every one has such an entry.
+    absv = np.hypot(v.real, v.imag)
+    first = (absv > 1e-12).argmax(axis=-2)
+    v = v * (v[rows, first, cols].conj() / absv[rows, first, cols])[:, None, :]
+    # Sort by -lam, then by (re, im) of each eigenvector entry, top row first.
+    entries = np.stack([v.real, v.imag], axis=-2).reshape(len(a), 2 * n, n)
+    order = np.lexsort(np.concatenate([entries.swapaxes(0, 1)[::-1], -lam[None]]))
+    lam, vecs = lam[rows, order], v[rows[:, None], cols[:, None], order[:, None]]
+    return EigenDecomposition(lam.reshape(m.shape[:-1]), vecs.reshape(m.shape))
 
 
 def _checked_eig(m: np.ndarray, name: str) -> EigenDecomposition:
-    # Density-matrix checks; the spectrum the positivity check solves is kept.
+    # Density-matrix checks of a matrix or a stack (errors name the first
+    # bad one); the spectrum the positivity check solves is kept.
     m = np.asarray(m, dtype=complex)
     if not is_hermitian(m):
         raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL}")
-    tr = np.trace(m)
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"{name} has trace {tr}, expected 1")
+    tr = np.asarray(np.trace(m, axis1=-2, axis2=-1))
+    bad = np.hypot(tr.real - 1.0, tr.imag) > 1e-10
+    if bad.any():
+        raise ValueError(f"{name} has trace {tr[bad][0]}, expected 1")
     dec = eig_hermitian(m)
-    if dec.eigenvalues[-1] < PSD_TOL:
-        raise ValueError(f"{name} has negative eigenvalue {dec.eigenvalues[-1]}")
+    low = dec.eigenvalues[..., -1]
+    if (low < PSD_TOL).any():
+        raise ValueError(f"{name} has negative eigenvalue {low[low < PSD_TOL][0]}")
     return dec
 
 
@@ -193,8 +216,11 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
 
 
 def _psd_root(dec: EigenDecomposition) -> np.ndarray:
-    vecs, root = dec.eigenvectors, np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    return vecs @ np.diag(root) @ vecs.conj().T
+    # A stacked diag(root): the clipped root is +0 or more, so the
+    # off-diagonal zeros are +0 as np.diag makes them.
+    lam, vecs = dec
+    root = np.sqrt(np.clip(lam, 0.0, None))[..., None, :] * np.eye(lam.shape[-1])
+    return vecs @ root @ _dag(vecs)
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -209,17 +235,18 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     return _psd_root(dec)
 
 
-def _entropy(lam: np.ndarray) -> float:
+def _entropy(lam: np.ndarray) -> np.ndarray:
+    # -sum(x log2 x) over the last axis, in order, skipping x <= 0.
     s = 0.0
-    for x in lam:
-        if x > 0.0:
-            s -= x * np.log2(x)
-    return float(s)
+    for x in np.moveaxis(lam, -1, 0):
+        pos = x > 0.0
+        s = s - np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0)
+    return s
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -sum(lam * log2 lam) in bits, with 0*log0 taken as 0."""
-    return _entropy(_checked_eig(rho, "entropy input").eigenvalues)
+    return float(_entropy(_checked_eig(rho, "entropy input").eigenvalues))
 
 
 def pure_qubit(theta: float, phi: float) -> np.ndarray:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rindler import channels, cli, qmat
+from rindler import channels, cli, correlations, qmat
 from rindler.cli import main
 from rindler.qmat import JacobiConvergenceError
 from rindler.unruh import UnruhParams
@@ -127,6 +127,24 @@ class TestSweep:
         rc = main(["sweep", "--steps", "3", "--out", "/no/such/dir/x.csv"])
         assert rc == 3
         assert "error" in capsys.readouterr().err
+
+    # The whole table is one stacked measure_report: 8 eigensolves per
+    # call, each on a stack of one matrix per row.
+    @pytest.mark.parametrize("steps", [3, 200])
+    def test_one_batched_solve_per_stage(self, monkeypatch, capsys, steps):
+        solved = []
+        eig = qmat.eig_hermitian
+
+        def counting(m, *args, **kwargs):
+            solved.append(np.shape(m))
+            return eig(m, *args, **kwargs)
+
+        for module in (qmat, correlations):
+            monkeypatch.setattr(module, "eig_hermitian", counting)
+        assert main(["sweep", "--steps", str(steps)]) == 0
+        assert len(solved) == 8
+        assert all(shape[0] == steps for shape in solved)
+        capsys.readouterr()
 
     def test_solver_failure_is_numerical_error(self, monkeypatch, capsys):
         def fail(rho):
@@ -301,6 +319,9 @@ GOLDEN_CASES = {
         for mode in ("choi", "kraus", "invert")
     },
     "sweep_linear.csv": ["sweep", "--steps", "12", "--scale", "linear"],
+    "sweep_default.csv": ["sweep"],
+    "sweep_linear_200.json":
+        ["sweep", "--steps", "200", "--scale", "linear", "--format", "json"],
 }
 GEOMETRY_ARGV = ["geometry", "--r", "0.3", "--n-theta", "4", "--n-phi", "4"]
 

@@ -344,6 +344,32 @@ class TestMeasureReport:
             assert sum(np.array_equal(m, rho) for m in solved) == 1
             assert checked.count("rho") == 1
 
+    def test_subnormal_entries(self):
+        # A valid state the solver once failed on: its rotation divided by
+        # the modulus of a subnormal off-diagonal entry.
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0], rho[2, 2], rho[0, 2] = 0.64, 0.36, 0.48
+        rho[0, 1], rho[1, 2] = 1.42e-308, 1.07e-308
+        rep = measure_report(rho + np.triu(rho, 1).T)
+        assert rep.bell_B == pytest.approx(1.0, abs=1e-12)
+        assert rep.concurrence == pytest.approx(0.0, abs=1e-12)
+        assert rep.mutual_information == pytest.approx(0.0, abs=1e-12)
+
+    def test_stack_gives_a_report_of_arrays(self):
+        rng = np.random.default_rng(151)
+        states = [shared_state(0.3), random_two_qubit_density(rng), BELL_PROJECTOR]
+        rep = measure_report(np.array(states))
+        for field in rep:
+            assert isinstance(field, np.ndarray) and field.shape == (3,)
+        for i, rho in enumerate(states):
+            assert tuple(field[i] for field in rep) == measure_report(rho)
+
+    @pytest.mark.parametrize("measure", [bell_B, concurrence, f_max, qmid,
+                                         mutual_information, decompose, dephased])
+    def test_single_state_measures_reject_stacks(self, measure):
+        with pytest.raises(ValueError, match="expected a two-qubit state"):
+            measure(np.array([BELL_PROJECTOR, BELL_PROJECTOR]))
+
     def test_ranges(self):
         rng = np.random.default_rng(149)
         for _ in range(10):

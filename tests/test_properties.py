@@ -5,9 +5,8 @@ stays deterministic. States are built as A A^dag / Tr with a 4 x k
 complex A, k = 1..4, so rank-deficient states (pure ones included) are
 drawn as often as full-rank ones. Entries of A are multiples of 1/4:
 exact zeros and exactly degenerate spectra, where eigenbasis choices and
-spectrum floors act, come up often. Inputs with entries near the float
-underflow range are a known solver defect (ROADMAP item 4), not a law
-of the measures, and are not drawn here.
+spectrum floors act, come up often. The stack test also draws free
+floats in [-1, 1], subnormal entries included.
 """
 
 import numpy as np
@@ -32,18 +31,20 @@ from rindler.correlations import (
     mutual_information,
     qmid,
 )
-from rindler.qmat import tensor
+from rindler.qmat import eig_hermitian, tensor
+from rindler.unruh import shared_state
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 entries = st.integers(-4, 4).map(lambda n: n / 4.0)
+free_entries = st.floats(-1.0, 1.0)
 angles = st.floats(0.0, 2.0 * np.pi, allow_nan=False)
 
 
 @st.composite
-def densities(draw, dim=4):
+def densities(draw, dim=4, elements=entries):
     k = draw(st.integers(1, dim))
-    parts = draw(arrays(np.float64, (2, dim, k), elements=entries))
+    parts = draw(arrays(np.float64, (2, dim, k), elements=elements))
     a = parts[0] + 1j * parts[1]
     m = a @ a.conj().T
     tr = np.trace(m).real
@@ -99,6 +100,31 @@ def test_report_fields_equal_the_single_measures(rho):
     assert rep.f_max == f_max(rho)
     assert rep.qmid == qmid(rho)
     assert rep.mutual_information == mutual_information(rho)
+
+
+states = st.one_of(
+    densities(),
+    densities(elements=free_entries),
+    st.floats(0.0, np.pi / 4).map(shared_state),
+)
+
+
+def _same(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(PROPERTY, max_examples=30)
+@given(stack=st.lists(states, min_size=1, max_size=40))
+def test_stack_entries_equal_single_calls(stack):
+    rhos = np.array(stack)
+    dec = eig_hermitian(rhos)
+    rep = measure_report(rhos)
+    for i, rho in enumerate(stack):
+        one = eig_hermitian(rho)
+        assert _same(dec.eigenvalues[i], one.eigenvalues)
+        assert _same(dec.eigenvectors[i], one.eigenvectors)
+        for stacked, single in zip(rep, measure_report(rho)):
+            assert _same(stacked[i], single)
 
 
 @PROPERTY

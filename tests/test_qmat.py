@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from rindler.qmat import (
     IDENTITY_2,
+    JacobiConvergenceError,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -169,6 +170,35 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_stack_equals_single_solves(self, n):
+        rng = np.random.default_rng(200 + n)
+        stack = np.array([[random_hermitian(rng, n) for _ in range(3)]
+                          for _ in range(2)])
+        stack[1, 2] = np.diag(np.arange(n) % 2)
+        dec = eig_hermitian(stack)
+        assert dec.eigenvalues.shape == (2, 3, n)
+        assert dec.eigenvectors.shape == (2, 3, n, n)
+        for idx in np.ndindex(2, 3):
+            one = eig_hermitian(stack[idx])
+            assert dec.eigenvalues[idx].tobytes() == one.eigenvalues.tobytes()
+            assert dec.eigenvectors[idx].tobytes() == one.eigenvectors.tobytes()
+
+    def test_stack_reports_non_convergence(self):
+        rng = np.random.default_rng(7)
+        stack = np.array([np.diag([1.0, 2.0, 3.0, 4.0]), random_hermitian(rng, 4)])
+        with pytest.raises(JacobiConvergenceError):
+            eig_hermitian(stack, max_sweeps=1)
+
+    def test_subnormal_off_diagonal_entries(self):
+        # g / |g| overflows for a subnormal g; such entries count as zero.
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0], rho[2, 2], rho[0, 2] = 0.64, 0.36, 0.48
+        rho[0, 1], rho[1, 2] = 1.42e-308, 1.07e-308
+        rho = rho + np.triu(rho, 1).T
+        lam = eig_hermitian(rho).eigenvalues
+        assert_allclose(lam, np.linalg.eigvalsh(rho)[::-1], rtol=0, atol=1e-12)
 
 
 class TestSqrtPsd:

@@ -10,9 +10,9 @@ once with `--out`. Dump the corpus on two source trees and compare:
     python tools/cli_corpus.py compare before.jsonl after.jsonl
 
 `compare` lists every run whose record differs and exits 1 if any does.
-The corpus covers sweep (csv/json x log/linear), all channel modes at
-r = 0, 1e-6, 1e-3, pi/4, at random r and at random --a/--omega, geometry
-grids, and usage and I/O errors.
+The corpus covers sweep (csv/json x log/linear, 2 to 2000 rows), all
+channel modes at r = 0, 1e-6, 1e-3, pi/4, at random r and at random
+--a/--omega, geometry grids, and usage and I/O errors.
 """
 
 from __future__ import annotations
@@ -95,6 +95,20 @@ def corpus() -> list[list[str]]:
                     "--steps", str(rng.randint(2, 12)),
                     "--format", fmt, "--scale", scale,
                 ])
+    # Long sweeps, 50 to 2000 rows: a sweep is one stacked solve, so large
+    # stacks need cases of their own. A second generator leaves the argv
+    # drawn from the first unchanged.
+    long_rng = random.Random(SEED + 1)
+    for steps in (50, 97, 200, 333, 500, 800, 1200, 2000):
+        a_min = _log_uniform(long_rng, 1e-3, 2.0)
+        cases.append([
+            "sweep", "--a-min", repr(a_min),
+            "--a-max", repr(a_min * _log_uniform(long_rng, 1.5, 1e4)),
+            "--omega", repr(_log_uniform(long_rng, 1e-2, 10.0)),
+            "--steps", str(steps),
+            "--format", long_rng.choice(("csv", "json")),
+            "--scale", long_rng.choice(("log", "linear")),
+        ])
     corners = ["0", "1e-6", "1e-3", repr(math.pi / 4)]
     for mode in MODES:
         cases += [["channel", "--r", r, "--mode", mode] for r in corners]
