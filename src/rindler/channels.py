@@ -136,10 +136,7 @@ def apply(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"state shape {rho.shape} does not match map dimension {kmap.dim}"
         )
-    out = np.zeros_like(rho)
-    for sign, op in kmap.terms:
-        out += sign * (op @ rho @ op.conj().T)
-    return out
+    return sum(sign * (op @ rho @ op.conj().T) for sign, op in kmap.terms)
 
 
 def apply_to_second(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
@@ -149,18 +146,13 @@ def apply_to_second(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (d, d):
         raise ValueError(f"state shape {rho.shape} does not match dimension {d}")
     eye = np.eye(kmap.dim, dtype=complex)
-    out = np.zeros_like(rho)
-    for sign, op in kmap.terms:
-        big = tensor(eye, op)
-        out += sign * (big @ rho @ big.conj().T)
-    return out
+    bigs = [(sign, tensor(eye, op)) for sign, op in kmap.terms]
+    return sum(sign * (big @ rho @ big.conj().T) for sign, big in bigs)
 
 
 def completeness_defect(kmap: KrausMap) -> float:
     """Max-norm distance of sum_j sign_j K_j^dag K_j from the identity."""
-    acc = np.zeros((kmap.dim, kmap.dim), dtype=complex)
-    for sign, op in kmap.terms:
-        acc += sign * (op.conj().T @ op)
+    acc = sum(sign * (op.conj().T @ op) for sign, op in kmap.terms)
     return float(np.max(np.abs(acc - np.eye(kmap.dim))))
 
 
@@ -168,10 +160,7 @@ def compose(outer: KrausMap, inner: KrausMap) -> KrausMap:
     """Map applying inner first, then outer; term signs multiply."""
     if outer.dim != inner.dim:
         raise ValueError(f"dimension mismatch {outer.dim} vs {inner.dim}")
-    terms = []
-    for so, ko in outer.terms:
-        for si, ki in inner.terms:
-            terms.append((so * si, ko @ ki))
+    terms = [(so * si, ko @ ki) for so, ko in outer.terms for si, ki in inner.terms]
     return KrausMap(tuple(terms), label=f"{outer.label}*{inner.label}")
 
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .channels import choi_matrix, inverse_unruh, is_cp, kraus_from_choi, unruh_kraus
 from .correlations import measure_report
-from .geometry import spheroid_report, surface_grid
+from .geometry import _grid, spheroid_report
 from .qmat import JacobiConvergenceError
 from .unruh import R_MAX, UnruhParams, shared_state
 
@@ -43,6 +44,11 @@ def _fmt_complex(z: complex) -> str:
 
 def _matrix_lines(m: np.ndarray) -> list[str]:
     return ["  ".join(_fmt_complex(z) for z in row) for row in np.asarray(m)]
+
+
+def _term_lines(kmap) -> list[str]:
+    return [line for sign, op in kmap.terms
+            for line in [f"sign {sign:+d}", *_matrix_lines(op)]]
 
 
 def _emit(text: str, out_path) -> None:
@@ -115,15 +121,10 @@ def cmd_channel(args) -> int:
         kmap = kraus_from_choi(choi_matrix(unruh_kraus(r)))
         lines.append(f"kraus operators extracted from the choi matrix:"
                      f" {len(kmap.terms)} term(s)")
-        for sign, op in kmap.terms:
-            lines.append(f"sign {sign:+d}")
-            lines += _matrix_lines(op)
+        lines += _term_lines(kmap)
     else:
         inv = inverse_unruh(r)
-        lines.append("inverse map operators:")
-        for sign, op in inv.terms:
-            lines.append(f"sign {sign:+d}")
-            lines += _matrix_lines(op)
+        lines += ["inverse map operators:", *_term_lines(inv)]
         verdict = is_cp(choi_matrix(inv, doubled=False))
         lines.append(
             "choi eigenvalues (state normalization): "
@@ -145,31 +146,25 @@ def cmd_geometry(args) -> int:
     if args.steps < 100:
         return _usage(f"--steps must be >= 100 for the quadrature, got {args.steps}")
 
-    rows = surface_grid(args.r, args.n_theta, args.n_phi)
+    # theta, phi and z repeat across the grid, so each is formatted once.
+    theta, phi, x, y, z = _grid(args.r, args.n_theta, args.n_phi)
+    phis = [_fmt(p) for p in phi.tolist()]
     lines = ["theta,phi,x,y,z"]
-    for theta, phi, vec in rows:
-        lines.append(
-            ",".join(_fmt(v) for v in (theta, phi, vec.x, vec.y, vec.z))
-        )
+    for t, zt, xs, ys in zip(map(_fmt, theta.tolist()), map(_fmt, z.tolist()),
+                             x.tolist(), y.tolist()):
+        lines += [f"{t},{p},{u:.12g},{v:.12g},{zt}" for p, u, v in zip(phis, xs, ys)]
     _emit("\n".join(lines) + "\n", args.out)
 
+    # The summary keys are the SpheroidReport field names.
     rep = spheroid_report(args.r, args.steps)
-    print(
-        "# center=({},{},{}) semi_axis_equatorial={} semi_axis_polar={}"
-        " eccentricity={} volume_fraction={}".format(
-            _fmt(rep.center.x),
-            _fmt(rep.center.y),
-            _fmt(rep.center.z),
-            _fmt(rep.semi_axis_equatorial),
-            _fmt(rep.semi_axis_polar),
-            _fmt(rep.eccentricity),
-            _fmt(rep.volume_fraction),
-        )
-    )
+    fields = " ".join(f"{k}={_fmt(v)}" for k, v in zip(rep._fields[1:], rep[1:]))
+    print(f"# center=({','.join(map(_fmt, rep.center))}) {fields}")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="rindler",
         description="Acceleration-induced qubit noise: sweeps, channel data,"

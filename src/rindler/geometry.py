@@ -9,6 +9,7 @@ suite against direct channel application.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -98,15 +99,12 @@ def spheroid_report(r: float, integration_steps: int = 10000) -> SpheroidReport:
     if steps % 2:
         steps += 1
 
-    # Cross-section area pi (c sin t)^2 times |dz/dt| = |-(c^2) sin t|, c = cos r;
-    # scalar np.sin on purpose, as the array form can differ in the last bit.
-    c = np.cos(r)
-    integrand = np.array(
-        [
-            (np.pi * (c * s) ** 2) * abs(-(c**2) * s)
-            for s in map(np.sin, np.linspace(0.0, np.pi, steps + 1))
-        ]
-    )
+    # Cross-section area pi (c sin t)^2 times |dz/dt| = |-(c^2) sin t|, c = cos r,
+    # on Python floats: scalar ** calls pow, and the array form's square can
+    # differ from it in the last bit.
+    c = math.cos(r)
+    sines = map(math.sin, np.linspace(0.0, np.pi, steps + 1).tolist())
+    integrand = np.array([(math.pi * (c * s) ** 2) * abs(-(c**2) * s) for s in sines])
     h = np.pi / steps
     weights = np.ones(steps + 1)
     weights[1:-1:2] = 4.0
@@ -121,19 +119,36 @@ def spheroid_report(r: float, integration_steps: int = 10000) -> SpheroidReport:
     return SpheroidReport(center, equatorial, polar, eccentricity, fraction)
 
 
+def _grid(r: float, n_theta: int, n_phi: int):
+    """surface_grid as arrays: theta, phi and z 1-D, x and y (n_theta, n_phi).
+
+    The operations of image_of_pure in its order, so the same bits; z from
+    Python floats, as scalar ** (pow) and an array square can differ.
+    """
+    if n_theta < 2 or n_phi < 2:
+        raise ValueError(f"grid counts must be >= 2, got {n_theta} x {n_phi}")
+    r = _check_angle(r)
+    theta = np.linspace(0.0, np.pi, int(n_theta))
+    phi = np.linspace(0.0, 2.0 * np.pi, int(n_phi), endpoint=False)
+    radial = (np.cos(r) * np.sin(theta))[:, None]
+    c2 = math.cos(2.0 * r)
+    z = [c2 * math.cos(t / 2.0) ** 2 - math.sin(t / 2.0) ** 2 for t in theta.tolist()]
+    return theta, phi, radial * np.cos(phi), radial * np.sin(phi), np.array(z)
+
+
 def surface_grid(r: float, n_theta: int, n_phi: int):
     """Image points on a (theta, phi) grid as (theta, phi, BlochVector) rows.
 
     theta runs over n_theta points including both poles; phi over n_phi
     points with the 2*pi endpoint excluded.
     """
-    if n_theta < 2 or n_phi < 2:
-        raise ValueError(f"grid counts must be >= 2, got {n_theta} x {n_phi}")
-    rows = []
-    for theta in np.linspace(0.0, np.pi, int(n_theta)):
-        for phi in np.linspace(0.0, 2.0 * np.pi, int(n_phi), endpoint=False):
-            rows.append((float(theta), float(phi), image_of_pure(theta, phi, r)))
-    return rows
+    theta, phi, x, y, z = _grid(r, n_theta, n_phi)
+    phi = phi.tolist()
+    return [
+        (t, p, BlochVector(xv, yv, zt))
+        for t, zt, xs, ys in zip(theta.tolist(), z.tolist(), x.tolist(), y.tolist())
+        for p, xv, yv in zip(phi, xs, ys)
+    ]
 
 
 def sample_surface(r: float, n_theta: int, n_phi: int) -> list[BlochVector]:

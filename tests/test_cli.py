@@ -332,12 +332,59 @@ def test_golden_output(name, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
 
 
-def test_golden_geometry(tmp_path, capsys):
-    points = (GOLDEN / "geometry_points.csv").read_bytes()
-    summary = (GOLDEN / "geometry_summary.txt").read_bytes()
+# Larger geometry goldens, recorded like the one above: a points file
+# `<name>_points.csv` and a summary line `<name>_summary.txt` each.
+GEOMETRY_GRIDS = {
+    "geometry_r0.3_37x53": ["geometry", "--r", "0.3", "--n-theta", "37",
+                            "--n-phi", "53", "--steps", "101"],
+    "geometry_rpi4_200x3": ["geometry", "--r", repr(np.pi / 4),
+                            "--n-theta", "200", "--n-phi", "3"],
+    "geometry_r0_2x2": ["geometry", "--r", "0", "--n-theta", "2", "--n-phi", "2"],
+}
+
+
+def _check_geometry_golden(name, argv, tmp_path, capsys):
+    points = (GOLDEN / f"{name}_points.csv").read_bytes()
+    summary = (GOLDEN / f"{name}_summary.txt").read_bytes()
     out = tmp_path / "points.csv"
-    assert main(GEOMETRY_ARGV + ["--out", str(out)]) == 0
+    assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == points
     assert capsys.readouterr().out.encode() == summary
-    assert main(GEOMETRY_ARGV) == 0
+    assert main(argv) == 0
     assert capsys.readouterr().out.encode() == points + summary
+
+
+def test_golden_geometry(tmp_path, capsys):
+    _check_geometry_golden("geometry", GEOMETRY_ARGV, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRY_GRIDS))
+def test_golden_geometry_grids(name, tmp_path, capsys):
+    _check_geometry_golden(name, GEOMETRY_GRIDS[name], tmp_path, capsys)
+
+
+def test_parser_reuse_leaks_no_state(capsys):
+    # One process, one parser: a usage error, --help, channel, geometry and
+    # sweep, then the same calls in reverse order. Every output equals its
+    # golden, or its first run where there is none.
+    cli.build_parser.cache_clear()
+    points = (GOLDEN / "geometry_points.csv").read_text()
+    summary = (GOLDEN / "geometry_summary.txt").read_text()
+    calls = [
+        (["sweep", "--steps", "x"], 2, None),
+        (["--help"], 0, None),
+        (GOLDEN_CASES["channel_kraus_r0.3.txt"], 0,
+         (GOLDEN / "channel_kraus_r0.3.txt").read_text()),
+        (GEOMETRY_ARGV, 0, points + summary),
+        (GOLDEN_CASES["sweep.csv"], 0, (GOLDEN / "sweep.csv").read_text()),
+    ]
+    first = {}
+    for argv, code, golden in calls + calls[::-1]:
+        assert main(list(argv)) == code
+        out, err = capsys.readouterr()
+        if golden is not None:
+            assert out == golden
+        assert first.setdefault(tuple(argv), (out, err)) == (out, err)
+    assert "usage" in first[("sweep", "--steps", "x")][1]
+    assert "sweep" in first[("--help",)][0]
+    assert cli.build_parser.cache_info().misses == 1

@@ -11,15 +11,18 @@ floats in [-1, 1], subnormal entries included.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rindler.channels import (
     KrausMap,
+    amplitude_damping,
     apply,
     choi_matrix,
+    compose,
     inverse_unruh,
+    is_cp,
     kraus_from_choi,
     unruh_kraus,
 )
@@ -31,6 +34,7 @@ from rindler.correlations import (
     mutual_information,
     qmid,
 )
+from rindler.geometry import image_of_pure, surface_grid
 from rindler.qmat import eig_hermitian, tensor
 from rindler.unruh import shared_state
 
@@ -39,6 +43,8 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 entries = st.integers(-4, 4).map(lambda n: n / 4.0)
 free_entries = st.floats(-1.0, 1.0)
 angles = st.floats(0.0, 2.0 * np.pi, allow_nan=False)
+# Mixing angles r in [0, pi/4], both ends drawn explicitly.
+mixing_angles = st.one_of(st.sampled_from([0.0, np.pi / 4]), st.floats(0.0, np.pi / 4))
 
 
 @st.composite
@@ -140,3 +146,51 @@ def test_choi_kraus_choi_round_trip(kmap):
     choi = choi_matrix(kmap)
     again = choi_matrix(kraus_from_choi(choi))
     np.testing.assert_allclose(again.matrix, choi.matrix, atol=1e-10)
+
+
+@PROPERTY
+@given(gamma=st.floats(0.0, 1.0), r=mixing_angles)
+def test_damping_and_channel_compose_into_damping(gamma, r):
+    # gamma'' = gamma cos^2 r + sin^2 r, in either order. The Choi coherence
+    # sqrt(1 - gamma'') amplifies the rounding of gamma'' near full damping,
+    # so entries are compared by squared modulus; all of them are real and
+    # non-negative, which the last assertion pins.
+    merged = min(gamma * np.cos(r) ** 2 + np.sin(r) ** 2, 1.0)
+    want = choi_matrix(amplitude_damping(merged)).matrix
+    for kmap in (compose(amplitude_damping(gamma), unruh_kraus(r)),
+                 compose(unruh_kraus(r), amplitude_damping(gamma))):
+        got = choi_matrix(kmap).matrix
+        np.testing.assert_allclose(np.abs(got) ** 2, np.abs(want) ** 2, atol=1e-12)
+        assert np.all(got.real >= 0.0) and not got.imag.any()
+
+
+@PROPERTY
+@given(r=mixing_angles)
+def test_inverse_choi_spectrum(r):
+    verdict = is_cp(choi_matrix(inverse_unruh(r), doubled=False))
+    low = -np.tan(r) ** 2 / 2
+    assert verdict.eigenvalues.sum() == pytest.approx(1.0, abs=1e-12)
+    assert verdict.min_eigenvalue == pytest.approx(low, abs=1e-12)
+    # NCP once the negative eigenvalue clears the -1e-10 CP tolerance, which
+    # is every r above 1.5e-5; r = 0 is the identity, CP.
+    if low < -2e-10:
+        assert not verdict.is_cp
+    elif low > -5e-11:
+        assert verdict.is_cp
+
+
+# On no theta grid of 2-40 points does z in array form (squares) differ
+# from the scalar z (pow); on these two larger ones it does, so the
+# examples catch a z computed in array form.
+@PROPERTY
+@given(r=mixing_angles, n_theta=st.integers(2, 40), n_phi=st.integers(2, 40))
+@example(r=0.3, n_theta=88, n_phi=2)
+@example(r=np.pi / 4, n_theta=109, n_phi=3)
+def test_surface_grid_rows_equal_the_closed_form(r, n_theta, n_phi):
+    got = surface_grid(r, n_theta, n_phi)
+    want = [(float(t), float(p), image_of_pure(t, p, r))
+            for t in np.linspace(0.0, np.pi, n_theta)
+            for p in np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)]
+    assert got == want
+    # == takes -0.0 for 0.0; the bytes pin the sign of every zero as well.
+    assert _same([(t, p, *v) for t, p, v in got], [(t, p, *v) for t, p, v in want])

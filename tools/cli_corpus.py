@@ -12,7 +12,7 @@ once with `--out`. Dump the corpus on two source trees and compare:
 `compare` lists every run whose record differs and exits 1 if any does.
 The corpus covers sweep (csv/json x log/linear, 2 to 2000 rows), all
 channel modes at r = 0, 1e-6, 1e-3, pi/4, at random r and at random
---a/--omega, geometry grids, and usage and I/O errors.
+--a/--omega, geometry grids from 2x2 to 200x200, and usage and I/O errors.
 """
 
 from __future__ import annotations
@@ -125,6 +125,17 @@ def corpus() -> list[list[str]]:
             "geometry", "--r", repr(rng.uniform(0.0, math.pi / 4)),
             "--n-theta", str(rng.randint(2, 12)), "--n-phi", str(rng.randint(2, 12)),
             "--steps", str(rng.choice([100, 101, 1000, 10000])),
+        ])
+    # Large grids, up to 200x200, with their own generator as above: the
+    # geometry points are formatted from arrays, so size needs cases too.
+    grid_rng = random.Random(SEED + 2)
+    sides = [(200, 200)] + [(grid_rng.randint(20, 200), grid_rng.randint(20, 200))
+                            for _ in range(5)]
+    for n_theta, n_phi in sides:
+        cases.append([
+            "geometry", "--r", repr(grid_rng.uniform(0.0, math.pi / 4)),
+            "--n-theta", str(n_theta), "--n-phi", str(n_phi),
+            "--steps", str(grid_rng.randint(100, 20000)),
         ])
     return cases + USAGE_ERRORS
 
