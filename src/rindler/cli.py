@@ -146,13 +146,14 @@ def cmd_geometry(args) -> int:
     if args.steps < 100:
         return _usage(f"--steps must be >= 100 for the quadrature, got {args.steps}")
 
-    # theta, phi and z repeat across the grid, so each is formatted once.
+    # theta, phi and z repeat across the grid, so each is formatted once;
+    # x and y fill one %-template per theta row.
     theta, phi, x, y, z = _grid(args.r, args.n_theta, args.n_phi)
     phis = [_fmt(p) for p in phi.tolist()]
+    xy = np.stack([x, y], axis=-1).reshape(len(theta), -1).tolist()
     lines = ["theta,phi,x,y,z"]
-    for t, zt, xs, ys in zip(map(_fmt, theta.tolist()), map(_fmt, z.tolist()),
-                             x.tolist(), y.tolist()):
-        lines += [f"{t},{p},{u:.12g},{v:.12g},{zt}" for p, u, v in zip(phis, xs, ys)]
+    for t, zt, row in zip(map(_fmt, theta.tolist()), map(_fmt, z.tolist()), xy):
+        lines.append("\n".join(f"{t},{p},%.12g,%.12g,{zt}" for p in phis) % tuple(row))
     _emit("\n".join(lines) + "\n", args.out)
 
     # The summary keys are the SpheroidReport field names.

@@ -206,6 +206,11 @@ _BELL_OUTCOMES = np.array(
 ) / np.sqrt(2.0)
 
 
+# Samples per block of the teleport kernel, which bounds its temporaries;
+# one block's cond (128 bytes a sample) fits in L2. 2048 beat 1024 and 4096.
+_TELEPORT_BLOCK = 2048
+
+
 def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
     """Monte-Carlo average fidelity of teleportation through rho.
 
@@ -219,13 +224,13 @@ def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
     Parameters
     ----------
     rho : two-qubit resource state
-    samples : number of Haar samples, at least 1
+    samples : number of Haar samples, a whole number (int or float) >= 1
     seed : generator seed; identical seeds reproduce the estimate exactly
     """
     rho, _ = _two_qubit(rho)
+    if not (np.isfinite(samples) and samples >= 1 and samples == int(samples)):
+        raise ValueError(f"samples must be a whole number >= 1, got {samples!r}")
     samples = int(samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     theta = np.arccos(1.0 - 2.0 * rng.random(samples))
     phi = 2.0 * np.pi * rng.random(samples)
@@ -233,19 +238,23 @@ def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
         [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1
     )
 
-    # amp[n, k, b] = <bell_k| (psi_n (x) |b>) contracted on the sender pair
-    amp = np.einsum("kab,na->nkb", _BELL_OUTCOMES.conj(), psi)
+    # Samples n last: each contraction's inner loop runs over contiguous
+    # samples, with the products and summation order of an n-first form.
     rho4 = rho.reshape(2, 2, 2, 2)
-    # cond[n, k] is the receiver's unnormalized post-measurement state;
-    # its trace is the outcome probability q_k.
-    cond = np.einsum("nkb,brcs,nkc->nkrs", amp, rho4, amp.conj())
-
-    acc = np.empty((4, 4))
-    for p_idx, pauli in enumerate(_SIGMAS):
-        w = psi @ pauli.conj()
-        fid = np.einsum("nr,nkrs,ns->nk", w.conj(), cond, w).real
-        acc[:, p_idx] = fid.mean(axis=0)
-    return float(sum(acc[k].max() for k in range(4)))
+    fid = np.empty((4, samples, 4))  # fid[p, n, k]: correction p, outcome k
+    for lo in range(0, samples, _TELEPORT_BLOCK):
+        block = psi[lo:lo + _TELEPORT_BLOCK]
+        # amp[k, b, n] = <bell_k| (psi_n (x) |b>) contracted on the sender pair
+        amp = np.einsum("kab,an->kbn", _BELL_OUTCOMES.conj(), block.T.copy())
+        # cond[k, :, :, n] is the receiver's unnormalized post-measurement
+        # state; its trace is the outcome probability q_k.
+        cond = np.einsum("kbn,brcs,kcn->krsn", amp, rho4, amp.conj())
+        for p_idx, pauli in enumerate(_SIGMAS):
+            w = (block @ pauli.conj()).T
+            fid[p_idx, lo:lo + len(block)] = np.einsum(
+                "rn,krsn,sn->nk", w.conj(), cond, w).real
+    # Means over a strided n add in sample order (contiguous n sums pairwise).
+    return float(sum(fid.mean(axis=1).max(axis=0)))
 
 
 def measure_report(rho: np.ndarray) -> MeasureReport:

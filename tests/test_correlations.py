@@ -1,4 +1,6 @@
+import json
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from rindler.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z, pure_qubit, tensor
 from rindler.unruh import shared_state
 
 R_GRID = np.linspace(0.0, np.pi / 4, 100)
+GOLDEN = Path(__file__).parent / "golden"
 
 BELL_PROJECTOR = np.zeros((4, 4), dtype=complex)
 BELL_PROJECTOR[0, 0] = BELL_PROJECTOR[0, 3] = 0.5
@@ -244,6 +247,20 @@ class TestQmid:
         for r in R_GRID[1:]:
             assert qmid(shared_state(r)) > 0
 
+    def test_shared_state_closed_form(self):
+        # Both marginals of the shared state are diagonal, Alice's exactly
+        # I/2, so the dephased state is its diagonal and, with c = cos r and
+        # s = sin r, qmid = H(c^2/2, s^2/2, 1/2) - H((1 + c^2)/2, s^2/2).
+        def entropy(*probs):
+            p = np.array(probs)
+            return -np.sum(np.where(p > 0, p * np.log2(np.where(p > 0, p, 1)), 0), axis=0)
+
+        r = np.linspace(0.0, np.pi / 4, 2001)
+        c2, s2 = np.cos(r) ** 2, np.sin(r) ** 2
+        want = entropy(c2 / 2, s2 / 2, np.full_like(r, 0.5)) - entropy((1 + c2) / 2, s2 / 2)
+        got = measure_report(np.array([shared_state(x) for x in r])).qmid
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+
 
 class TestLocalUnitaryInvariance:
     @pytest.mark.parametrize(
@@ -285,14 +302,51 @@ class TestTeleportFidelityMc:
         with pytest.raises(ValueError):
             teleport_fidelity_mc(BELL_PROJECTOR, 0)
 
-    @pytest.mark.parametrize("seed", [0, 7, 2024])
-    @pytest.mark.parametrize("r", [0.0, 0.3, np.pi / 4])
-    def test_equals_exhaustive_correction_search(self, r, seed):
+    @pytest.mark.parametrize(
+        "samples", [-1, 0.5, 2.7, float("inf"), float("-inf"), float("nan")]
+    )
+    def test_rejects_bad_sample_counts(self, samples):
+        with pytest.raises(ValueError, match="samples must be a whole number >= 1"):
+            teleport_fidelity_mc(BELL_PROJECTOR, samples)
+
+    def test_accepts_integral_float_samples(self):
+        rho = shared_state(0.3)
+        assert teleport_fidelity_mc(rho, 5.0) == teleport_fidelity_mc(rho, 5)
+
+    # The 3000-sample cases keep their ids; the others straddle the
+    # kernel's sample blocks.
+    BLOCK = correlations._TELEPORT_BLOCK
+    EXHAUSTIVE_CASES = [
+        pytest.param(r, seed, 3000, id=f"{r}-{seed}")
+        for seed in (0, 7, 2024) for r in (0.0, 0.3, np.pi / 4)
+    ] + [
+        pytest.param(r, seed, n, id=f"{r}-{seed}-{n}")
+        for r, seed, n in [(0.3, 0, BLOCK - 1), (0.0, 7, BLOCK),
+                           (np.pi / 4, 2024, BLOCK + 1), (0.3, 7, 3 * BLOCK + 17)]
+    ]
+
+    @pytest.mark.parametrize("r, seed, samples", EXHAUSTIVE_CASES)
+    def test_equals_exhaustive_correction_search(self, r, seed, samples):
         rng = np.random.default_rng(seed)
         states = (shared_state(r), random_two_qubit_density(rng), random_x_state(rng))
         for rho in states:
-            got = teleport_fidelity_mc(rho, 3000, seed)
-            assert got == brute_force_teleport_fidelity(rho, 3000, seed)
+            got = teleport_fidelity_mc(rho, samples, seed)
+            assert got == brute_force_teleport_fidelity(rho, samples, seed)
+
+    def test_golden_estimates(self):
+        # repr of each estimate, recorded before the kernel was blocked.
+        golden = json.loads((GOLDEN / "teleport_mc.json").read_text())
+        states = {
+            "random": np.array([[complex(*z) for z in row]
+                                for row in golden["random_state"]]),
+            "bell": BELL_PROJECTOR,
+        }
+        for case in golden["cases"]:
+            rho = states.get(case["state"])
+            if rho is None:
+                rho = shared_state(case["r"])
+            got = teleport_fidelity_mc(rho, case["samples"], case["seed"])
+            assert repr(got) == case["estimate"], case
 
 
 class TestMeasureReport:

@@ -133,6 +133,21 @@ def test_stack_entries_equal_single_calls(stack):
             assert _same(stacked[i], single)
 
 
+# On a 20001-angle grid the smallest drop between neighbours of any sweep
+# column is about 5e-10; pairs at least MIN_GAP apart differ by far more
+# than rounding.
+MIN_GAP = 1e-3
+
+
+@PROPERTY
+@given(pair=st.tuples(mixing_angles, mixing_angles).map(sorted)
+       .filter(lambda p: p[1] - p[0] >= MIN_GAP))
+def test_sweep_columns_decrease_in_r(pair):
+    # Rows: bell_B, concurrence, f_max, qmid; columns: the two angles.
+    cols = np.array(measure_report(np.array([shared_state(r) for r in pair]))[:4])
+    assert np.all(cols[:, 0] > cols[:, 1])
+
+
 @PROPERTY
 @given(rho=densities(dim=2), r=st.floats(0.0, np.pi / 4))
 def test_inverse_undoes_the_channel(rho, r):
