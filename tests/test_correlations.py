@@ -253,7 +253,7 @@ class TestQmid:
         # s = sin r, qmid = H(c^2/2, s^2/2, 1/2) - H((1 + c^2)/2, s^2/2).
         def entropy(*probs):
             p = np.array(probs)
-            return -np.sum(np.where(p > 0, p * np.log2(np.where(p > 0, p, 1)), 0), axis=0)
+            return -np.sum(p * np.log2(p, where=p > 0, out=np.zeros_like(p)), axis=0)
 
         r = np.linspace(0.0, np.pi / 4, 2001)
         c2, s2 = np.cos(r) ** 2, np.sin(r) ** 2
