@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -22,9 +21,13 @@ from .channels import choi_matrix, inverse_unruh, is_cp, kraus_from_choi, unruh_
 from .correlations import measure_report
 from .geometry import _grid, spheroid_report
 from .qmat import JacobiConvergenceError
-from .unruh import R_MAX, UnruhParams, shared_state
+from .unruh import R_MAX, UnruhParams, cos_r, shared_state
 
 SWEEP_HEADER = "a,r,bell_half,concurrence,f_max,qmid"
+# One sweep row as a %-template: CSV, and JSON in the layout of json.dumps(indent=2).
+_FIELDS = SWEEP_HEADER.split(",")
+CSV_ROW = ",".join(["%.12g"] * len(_FIELDS)) + "\n"
+JSON_ROW = "  {\n" + ",\n".join(f'    "{f}": %r' for f in _FIELDS) + "\n  }"
 QMID_NOTE = (
     "# qmid convention: degenerate marginal eigenbases fall back to the"
     " computational basis"
@@ -89,19 +92,19 @@ def cmd_sweep(args) -> int:
     else:
         grid = np.linspace(args.a_min, args.a_max, args.steps)
 
-    # r and the state come from the scalar functions, row by row; the
-    # measures then run once on the stack of all rows' states.
-    rs = [UnruhParams(float(a), args.omega).r for a in grid]
-    rep = measure_report(np.array([shared_state(r) for r in rs]))
-    rows = list(zip(grid, rs, rep.bell_B / 2.0, rep.concurrence, rep.f_max, rep.qmid))
+    # r, the states and the measures each come in one pass over all rows.
+    r = np.arccos(cos_r(grid, args.omega))
+    rep = measure_report(shared_state(r))
+    values = tuple(np.column_stack([grid, r, rep.bell_B / 2.0, rep.concurrence,
+                                    rep.f_max, rep.qmid]).ravel().tolist())
 
+    # One %-template over the whole table. JSON rounds each value through
+    # %.12g and prints its float repr, the text json.dumps writes.
     if args.format == "csv":
-        lines = [QMID_NOTE, SWEEP_HEADER] + [",".join(map(_fmt, row)) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = f"{QMID_NOTE}\n{SWEEP_HEADER}\n" + CSV_ROW * len(r) % values
     else:
-        fields = SWEEP_HEADER.split(",")
-        rounded = [{f: float(_fmt(x)) for f, x in zip(fields, row)} for row in rows]
-        text = json.dumps(rounded, indent=2) + "\n"
+        rounded = tuple(map(float, ("%.12g," * len(values) % values).split(",")[:-1]))
+        text = "[\n" + ",\n".join([JSON_ROW] * len(r)) % rounded + "\n]\n"
     _emit(text, args.out)
     return 0
 

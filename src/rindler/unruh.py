@@ -18,13 +18,15 @@ def cos_r(a: float, omega: float) -> float:
     """Mode-mixing cosine for acceleration a and mode frequency omega.
 
     Returns 1/sqrt(exp(-2 pi omega / a) + 1), which decreases
-    monotonically from 1 (a -> 0) to 1/sqrt(2) (a -> infinity).
+    monotonically from 1 (a -> 0) to 1/sqrt(2) (a -> infinity). An array
+    of accelerations gives an array, each entry as for that a alone.
     """
-    if not 0 < a < np.inf:
+    if not (0 < np.min(a) and np.max(a) < np.inf):
         raise ValueError(f"acceleration must be positive and finite, got {a}")
     if not 0 < omega < np.inf:
         raise ValueError(f"mode frequency must be positive and finite, got {omega}")
-    return float(1.0 / np.sqrt(np.exp(-2.0 * np.pi * omega / a) + 1.0))
+    c = 1.0 / np.sqrt(np.exp(-2.0 * np.pi * omega / a) + 1.0)
+    return c if np.ndim(c) else float(c)
 
 
 def unruh_temperature(a: float) -> float:
@@ -47,9 +49,11 @@ class UnruhParams:
 
 
 def _check_angle(r: float) -> float:
-    if not 0.0 <= r <= R_MAX + 1e-12:
-        raise ValueError(f"mixing angle {r} outside [0, pi/4]")
-    return float(r)
+    arr = np.asarray(r)
+    bad = ~((0.0 <= arr) & (arr <= R_MAX + 1e-12))
+    if bad.any():
+        raise ValueError(f"mixing angle {arr[bad][0]} outside [0, pi/4]")
+    return arr if arr.ndim else float(arr)
 
 
 def three_mode_state(r: float) -> np.ndarray:
@@ -73,14 +77,15 @@ def shared_state(r: float) -> np.ndarray:
     This is the mode-II partial trace of three_mode_state(r): an X-form
     matrix with diagonal (cos^2 r, sin^2 r, 0, 1)/2 and coherence
     cos(r)/2 between |00> and |11>. At r = 0 it is the maximally
-    entangled pair.
+    entangled pair. An array of angles gives a stack (..., 4, 4).
     """
     r = _check_angle(r)
     c = np.cos(r)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = c * c / 2.0
-    rho[0, 3] = c / 2.0
-    rho[3, 0] = c / 2.0
-    rho[1, 1] = np.sin(r) ** 2 / 2.0
-    rho[3, 3] = 0.5
+    rho = np.zeros(np.shape(r) + (4, 4), dtype=complex)
+    rho[..., 0, 0] = c * c / 2.0
+    rho[..., 0, 3] = rho[..., 3, 0] = c / 2.0
+    # Python-float squares: an array square differs in ~0.1% of last bits.
+    sin2 = [s ** 2 for s in np.ravel(np.sin(r)).tolist()]
+    rho[..., 1, 1] = np.reshape(sin2, np.shape(r)) / 2.0
+    rho[..., 3, 3] = 0.5
     return rho

@@ -128,8 +128,10 @@ class TestSweep:
         assert rc == 3
         assert "error" in capsys.readouterr().err
 
-    # The whole table is one stacked measure_report: 8 eigensolves per
-    # call, each on a stack of one matrix per row.
+    # The whole table is one stacked measure_report: 5 eigensolves per
+    # call, each on a stack of one matrix (or marginal pair) per row. The
+    # dephased state's marginals equal the state's to the bit, so their
+    # spectra are reused.
     @pytest.mark.parametrize("steps", [3, 200])
     def test_one_batched_solve_per_stage(self, monkeypatch, capsys, steps):
         solved = []
@@ -142,7 +144,7 @@ class TestSweep:
         for module in (qmat, correlations):
             monkeypatch.setattr(module, "eig_hermitian", counting)
         assert main(["sweep", "--steps", str(steps)]) == 0
-        assert len(solved) == 8
+        assert len(solved) == 5
         assert all(shape[0] == steps for shape in solved)
         capsys.readouterr()
 
@@ -322,6 +324,14 @@ GOLDEN_CASES = {
     "sweep_default.csv": ["sweep"],
     "sweep_linear_200.json":
         ["sweep", "--steps", "200", "--scale", "linear", "--format", "json"],
+    # Exponent-form a, printed 0.5 and 1.0, and r near 0; a sweep whose qmid
+    # moves in the 12th digit under S(dephased) - S(rho); the minimum table.
+    "sweep_wide_a.json": ["sweep", "--omega", "20", "--a-min", "1e-7", "--a-max", "1e7",
+                          "--steps", "41", "--format", "json"],
+    "sweep_qmid_drift_500.csv": ["sweep", "--omega", "0.03089858164727607",
+                                 "--a-min", "6.456787829242969",
+                                 "--a-max", "1592.7885349839266", "--steps", "500"],
+    "sweep_steps2.json": ["sweep", "--steps", "2", "--format", "json"],
 }
 GEOMETRY_ARGV = ["geometry", "--r", "0.3", "--n-theta", "4", "--n-phi", "4"]
 

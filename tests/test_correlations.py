@@ -122,6 +122,19 @@ class TestDecompose:
             rho = random_two_qubit_density(rng)
             assert np.max(np.abs(reconstruct(decompose(rho)) - rho)) < 1e-12
 
+    def test_shared_state_stack_closed_form(self):
+        # One stack of 2001 angles: a = 0, b = (0, 0, -sin^2 r) and
+        # gamma = diag(cos r, -cos r, cos^2 r).
+        r = np.linspace(0.0, np.pi / 4, 2001)
+        dec = correlations._decompose(shared_state(r))
+        c, zero = np.cos(r), np.zeros_like(r)
+        assert_allclose(dec.local_a, 0.0, rtol=0, atol=1e-15)
+        assert_allclose(dec.local_b, np.stack([zero, zero, -np.sin(r) ** 2], axis=-1),
+                        rtol=0, atol=1e-15)
+        gamma = np.zeros((len(r), 3, 3))
+        gamma[:, 0, 0], gamma[:, 1, 1], gamma[:, 2, 2] = c, -c, c * c
+        assert_allclose(dec.gamma, gamma, rtol=0, atol=1e-15)
+
     def test_entries_bounded(self):
         rng = np.random.default_rng(103)
         for _ in range(20):
@@ -362,16 +375,17 @@ class TestMeasureReport:
         )
 
     # Eigensolves per public call: the input once (its validation, reused
-    # for S(AB) and sqrt(rho)), each marginal once (entropy and dephasing
-    # basis), plus gamma^T gamma, the Wootters matrix and the dephased
-    # state with its two marginals, as each call needs them.
+    # for S(AB) and sqrt(rho)), both marginals in one stacked solve (entropy
+    # and dephasing basis), plus gamma^T gamma, the Wootters matrix and the
+    # dephased state, as each call needs them. The dephased state's
+    # marginals equal those of shared_state(0.3) to the bit: not solved again.
     @pytest.mark.parametrize(
         "measure, solves",
         [
-            pytest.param(measure_report, 8, id="measure_report"),
+            pytest.param(measure_report, 5, id="measure_report"),
             pytest.param(concurrence, 2, id="concurrence"),
-            pytest.param(mutual_information, 3, id="mutual_information"),
-            pytest.param(qmid, 6, id="qmid"),
+            pytest.param(mutual_information, 2, id="mutual_information"),
+            pytest.param(qmid, 3, id="qmid"),
         ],
     )
     def test_validates_once_and_shares_spectra(self, monkeypatch, measure, solves):
@@ -397,6 +411,26 @@ class TestMeasureReport:
             assert len(solved) == solves
             assert sum(np.array_equal(m, rho) for m in solved) == 1
             assert checked.count("rho") == 1
+
+    def test_dephased_marginals_solved_when_not_bit_equal(self, monkeypatch):
+        # On a full-rank random state dephasing moves the marginals in the
+        # last bits, so the dephased pair gets a solve of its own: 6 in all.
+        rho = random_two_qubit_density(np.random.default_rng(157))
+        pair = np.stack([qmat.partial_trace(rho, [2, 2], k) for k in (1, 0)])
+        sigma = dephased(rho)
+        assert not np.array_equal(
+            np.stack([qmat.partial_trace(sigma, [2, 2], k) for k in (1, 0)]), pair)
+        solved = []
+        eig = qmat.eig_hermitian
+
+        def counting(m, *args, **kwargs):
+            solved.append(np.shape(m))
+            return eig(m, *args, **kwargs)
+
+        for module in (qmat, correlations):
+            monkeypatch.setattr(module, "eig_hermitian", counting)
+        measure_report(rho)
+        assert sorted(solved) == [(2, 2, 2)] * 2 + [(3, 3)] + [(4, 4)] * 3
 
     def test_subnormal_entries(self):
         # A valid state the solver once failed on: its rotation divided by

@@ -27,8 +27,10 @@ from rindler.channels import (
     unruh_kraus,
 )
 from rindler.correlations import (
+    _PAULI_BASIS,
     bell_B,
     concurrence,
+    decompose,
     f_max,
     measure_report,
     mutual_information,
@@ -131,6 +133,17 @@ def test_stack_entries_equal_single_calls(stack):
         assert _same(dec.eigenvectors[i], one.eigenvectors)
         for stacked, single in zip(rep, measure_report(rho)):
             assert _same(stacked[i], single)
+
+
+@PROPERTY
+@given(rho=states)
+def test_decompose_equals_the_pauli_traces(rho):
+    # decompose gathers tr(rho P) from one entry per column of each Pauli
+    # product; the reference forms rho @ P and takes its trace.
+    t = np.array([[np.trace(rho @ p).real for p in row] for row in _PAULI_BASIS])
+    dec = decompose(rho)
+    for got, want in zip(dec, (t[1:, 0], t[0, 1:], t[1:, 1:])):
+        np.testing.assert_allclose(got, want, rtol=0, atol=2.3e-16)
 
 
 # On a 20001-angle grid the smallest drop between neighbours of any sweep

@@ -55,6 +55,16 @@ class TestCosR:
     def test_domain_errors(self, a, omega):
         with pytest.raises(ValueError):
             cos_r(a, omega)
+        with pytest.raises(ValueError):
+            cos_r(np.array([1.0, a, 2.0]), omega)
+
+    def test_array_entries_equal_scalar_calls(self):
+        grid = np.geomspace(1e-7, 1e7, 2001)
+        got = cos_r(grid, 0.37)
+        assert got.shape == grid.shape
+        want = np.array([cos_r(float(a), 0.37) for a in grid])
+        assert got.tobytes() == want.tobytes()
+        assert isinstance(cos_r(4.6, 0.1), float)
 
 
 class TestUnruhTemperature:
@@ -144,5 +154,16 @@ class TestSharedState:
         assert np.max(np.abs(s @ s - rho)) < 1e-10
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"mixing angle -0\.1 outside"):
             shared_state(-0.1)
+        with pytest.raises(ValueError, match=r"mixing angle 2\.0 outside"):
+            shared_state(np.array([0.1, 2.0, -1.0]))
+
+    def test_stack_entries_equal_single_states(self):
+        # The grid holds r = 0.345967890976576, where an array square of
+        # sin r differs in the last bit from the scalar one.
+        r = np.linspace(0.0, np.pi / 4, 2001)
+        stack = shared_state(r.reshape(23, 87))
+        assert stack.shape == (23, 87, 4, 4)
+        want = np.array([shared_state(x) for x in r.tolist()])
+        assert stack.tobytes() == want.tobytes()

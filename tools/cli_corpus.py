@@ -10,9 +10,10 @@ once with `--out`. Dump the corpus on two source trees and compare:
     python tools/cli_corpus.py compare before.jsonl after.jsonl
 
 `compare` lists every run whose record differs and exits 1 if any does.
-The corpus covers sweep (csv/json x log/linear, 2 to 2000 rows), all
-channel modes at r = 0, 1e-6, 1e-3, pi/4, at random r and at random
---a/--omega, geometry grids from 2x2 to 200x200, and usage and I/O errors.
+The corpus covers sweep (csv/json x log/linear, 2 to 2000 rows, omega
+0.005 to 20, a ratios up to 1e6), all channel modes at r = 0, 1e-6, 1e-3,
+pi/4, at random r and at random --a/--omega, geometry grids from 2x2 to
+200x200, and usage and I/O errors.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ import tempfile
 from pathlib import Path
 
 SEED = 20140
+# A sweep whose qmid column moves in the 12th digit when qmid is computed
+# as S(dephased) - S(rho) instead of as a difference of mutual informations.
+QMID_DRIFT = ["sweep", "--omega", "0.03089858164727607", "--a-min", "6.456787829242969",
+              "--a-max", "1592.7885349839266", "--steps", "500"]
 MODES = ("choi", "kraus", "invert")
 USAGE_ERRORS = [
     [],
@@ -108,6 +113,21 @@ def corpus() -> list[list[str]]:
             "--steps", str(steps),
             "--format", long_rng.choice(("csv", "json")),
             "--scale", long_rng.choice(("log", "linear")),
+        ])
+    # Wide sweeps, with a fourth generator: omega 0.005-20, a ratio up to
+    # 1e6, 2 to 600 rows. Together with QMID_DRIFT they catch a change of
+    # the last printed digit of qmid, which the short sweeps above miss.
+    wide_rng = random.Random(SEED + 3)
+    cases.append(QMID_DRIFT)
+    for _ in range(100):
+        a_min = _log_uniform(wide_rng, 1e-3, 10.0)
+        cases.append([
+            "sweep", "--a-min", repr(a_min),
+            "--a-max", repr(a_min * _log_uniform(wide_rng, 1.01, 1e6)),
+            "--omega", repr(_log_uniform(wide_rng, 5e-3, 20.0)),
+            "--steps", str(wide_rng.randint(2, 600)),
+            "--format", wide_rng.choice(("csv", "json")),
+            "--scale", wide_rng.choice(("log", "linear")),
         ])
     corners = ["0", "1e-6", "1e-3", repr(math.pi / 4)]
     for mode in MODES:
