@@ -168,12 +168,11 @@ def choi_matrix(kmap: KrausMap, doubled: bool = True) -> ChoiMatrix:
     """Dual matrix sum_{jk} |j><k| (x) E(|j><k|) of a qubit map."""
     if kmap.dim != 2:
         raise ValueError(f"Choi construction expects a qubit map, dim {kmap.dim}")
-    basis = np.eye(2, dtype=complex)
+    # sum_k sign_k vec(K_k) vec(K_k)^dag, vec column-major as in kraus_from_choi.
     m = np.zeros((4, 4), dtype=complex)
-    for j in range(2):
-        for k in range(2):
-            ejk = np.outer(basis[j], basis[k])
-            m += tensor(ejk, apply(kmap, ejk))
+    for sign, op in kmap.terms:
+        v = op.reshape(4, order="F")
+        m += sign * np.outer(v, v.conj())
     choi = ChoiMatrix(m, doubled=True)
     return choi if doubled else choi.state_normalized()
 

@@ -149,15 +149,14 @@ def cmd_geometry(args) -> int:
     if args.steps < 100:
         return _usage(f"--steps must be >= 100 for the quadrature, got {args.steps}")
 
-    # theta, phi and z repeat across the grid, so each is formatted once;
-    # x and y fill one %-template per theta row.
+    # theta, phi and z repeat across the grid, so each is formatted once into
+    # one %-template for the whole grid, which x and y then fill.
     theta, phi, x, y, z = _grid(args.r, args.n_theta, args.n_phi)
-    phis = [_fmt(p) for p in phi.tolist()]
-    xy = np.stack([x, y], axis=-1).reshape(len(theta), -1).tolist()
-    lines = ["theta,phi,x,y,z"]
-    for t, zt, row in zip(map(_fmt, theta.tolist()), map(_fmt, z.tolist()), xy):
-        lines.append("\n".join(f"{t},{p},%.12g,%.12g,{zt}" for p in phis) % tuple(row))
-    _emit("\n".join(lines) + "\n", args.out)
+    parts = [f",{p},%.12g,%.12g," for p in map(_fmt, phi.tolist())]
+    rows = [t + (zt + "\n" + t).join(parts) + zt
+            for t, zt in zip(map(_fmt, theta.tolist()), map(_fmt, z.tolist()))]
+    xy = tuple(np.stack([x, y], -1).ravel().tolist())
+    _emit("theta,phi,x,y,z\n" + "\n".join(rows) % xy + "\n", args.out)
 
     # The summary keys are the SpheroidReport field names.
     rep = spheroid_report(args.r, args.steps)

@@ -248,9 +248,12 @@ def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
     # Samples n last: each contraction's inner loop runs over contiguous
     # samples, with the products and summation order of an n-first form.
     rho4 = rho.reshape(2, 2, 2, 2)
-    fid = np.empty((4, samples, 4))  # fid[p, n, k]: correction p, outcome k
+    total = np.zeros((4, 4))
     for lo in range(0, samples, _TELEPORT_BLOCK):
         block = psi[lo:lo + _TELEPORT_BLOCK]
+        # fid[p, n, k]: correction p, outcome k; row 0 carries the running total.
+        fid = np.empty((4, 1 + len(block), 4))
+        fid[:, 0] = total
         # amp[k, b, n] = <bell_k| (psi_n (x) |b>) contracted on the sender pair
         amp = np.einsum("kab,an->kbn", _BELL_OUTCOMES.conj(), block.T.copy())
         # cond[k, :, :, n] is the receiver's unnormalized post-measurement
@@ -258,10 +261,10 @@ def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
         cond = np.einsum("kbn,brcs,kcn->krsn", amp, rho4, amp.conj())
         for p_idx, pauli in enumerate(_SIGMAS):
             w = (block @ pauli.conj()).T
-            fid[p_idx, lo:lo + len(block)] = np.einsum(
-                "rn,krsn,sn->nk", w.conj(), cond, w).real
-    # Means over a strided n add in sample order (contiguous n sums pairwise).
-    return float(sum(fid.mean(axis=1).max(axis=0)))
+            fid[p_idx, 1:] = np.einsum("rn,krsn,sn->nk", w.conj(), cond, w).real
+        # Summed over the strided n axis: in sample order, not pairwise.
+        total = fid.sum(axis=1)
+    return float(sum((total / samples).max(axis=0)))
 
 
 def measure_report(rho: np.ndarray) -> MeasureReport:

@@ -9,6 +9,8 @@ suite against direct channel application.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -79,6 +81,16 @@ def radius_from_center(theta: float) -> float:
     return float(np.sqrt(3.0 - np.cos(2.0 * theta)) / (2.0 * np.sqrt(2.0)))
 
 
+@functools.lru_cache(maxsize=None)
+def _simpson_nodes(steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only math.sin at the nodes of [0, pi] and weights 1, 4, 2, ..., 1."""
+    sines = np.array(list(map(math.sin, np.linspace(0.0, np.pi, steps + 1).tolist())))
+    weights = np.r_[1.0, np.tile([4.0, 2.0], steps // 2)]
+    weights[-1] = 1.0
+    sines.flags.writeable = weights.flags.writeable = False
+    return sines, weights
+
+
 def spheroid_report(r: float, integration_steps: int = 10000) -> SpheroidReport:
     """Geometric summary of the channel's image of the Bloch sphere.
 
@@ -96,20 +108,16 @@ def spheroid_report(r: float, integration_steps: int = 10000) -> SpheroidReport:
     steps = int(integration_steps)
     if steps < 100:
         raise ValueError(f"integration_steps must be >= 100, got {steps}")
-    if steps % 2:
-        steps += 1
+    steps += steps % 2
+    sines, weights = _simpson_nodes(steps)
 
-    # Cross-section area pi (c sin t)^2 times |dz/dt| = |-(c^2) sin t|, c = cos r,
-    # on Python floats: scalar ** calls pow, and the array form's square can
-    # differ from it in the last bit.
+    # Cross-section area pi (c sin t)^2 times |dz/dt| = |-(c^2) sin t|, c = cos r.
+    # The square is Python pow on floats, as an array square can differ from
+    # it in the last bit; the products and abs round alike on arrays.
     c = math.cos(r)
-    sines = map(math.sin, np.linspace(0.0, np.pi, steps + 1).tolist())
-    integrand = np.array([(math.pi * (c * s) ** 2) * abs(-(c**2) * s) for s in sines])
-    h = np.pi / steps
-    weights = np.ones(steps + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    volume = float(h / 3.0 * np.dot(weights, integrand))
+    squares = np.fromiter(map(pow, (c * sines).tolist(), itertools.repeat(2.0)), float)
+    integrand = (math.pi * squares) * np.abs(-(c**2) * sines)
+    volume = float(np.pi / steps / 3.0 * np.dot(weights, integrand))
     fraction = volume / (4.0 * np.pi / 3.0)
 
     equatorial = float(np.cos(r))

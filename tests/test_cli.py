@@ -350,6 +350,8 @@ GEOMETRY_GRIDS = {
     "geometry_rpi4_200x3": ["geometry", "--r", repr(np.pi / 4),
                             "--n-theta", "200", "--n-phi", "3"],
     "geometry_r0_2x2": ["geometry", "--r", "0", "--n-theta", "2", "--n-phi", "2"],
+    # Few, long theta rows.
+    "geometry_r0.3_2x61": ["geometry", "--r", "0.3", "--n-theta", "2", "--n-phi", "61"],
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -345,6 +346,18 @@ class TestTeleportFidelityMc:
         for rho in states:
             got = teleport_fidelity_mc(rho, samples, seed)
             assert got == brute_force_teleport_fidelity(rho, samples, seed)
+
+    def test_memory_holds_the_inputs_not_the_fidelities(self):
+        # About 72 bytes a sample of inputs (angles and psi) plus one block's
+        # temporaries; a (4, n, 4) fidelity table would add 128 bytes a sample.
+        rho = shared_state(0.3)
+        tracemalloc.start()
+        try:
+            teleport_fidelity_mc(rho, 100000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_golden_estimates(self):
         # repr of each estimate, recorded before the kernel was blocked.

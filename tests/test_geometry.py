@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from rindler.channels import apply, unruh_kraus
+from rindler import geometry
 from rindler.geometry import (
     BlochVector,
     bloch_of,
@@ -15,6 +19,7 @@ from rindler.geometry import (
 from rindler.qmat import pure_qubit
 
 ASYMPTOTIC_CENTER = np.array([0.0, 0.0, -0.5])
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestBlochOf:
@@ -145,6 +150,30 @@ class TestSpheroidReport:
     def test_rejects_too_few_steps(self):
         with pytest.raises(ValueError):
             spheroid_report(0.1, 50)
+
+    def test_golden_reports(self):
+        # repr of every field for 30 angles (0, 1e-8, 0.3, pi/4 and seeded
+        # random ones) at 100, 101, 1000, 10000 and 20000 steps, recorded
+        # while the integrand was a per-node Python loop.
+        cases = json.loads((GOLDEN / "spheroid_volume.json").read_text())["cases"]
+        assert len(cases) == 150
+        for case in cases:
+            rep = spheroid_report(float(case["r"]), case["steps"])
+            got = {"center": [repr(v) for v in rep.center],
+                   **{k: repr(v) for k, v in zip(rep._fields[1:], rep[1:])}}
+            assert got == {k: case[k] for k in got}, case
+
+    def test_cached_nodes_are_read_only(self):
+        sines, weights = geometry._simpson_nodes(100)
+        assert not sines.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            sines[0] = 1.0
+
+    def test_odd_and_even_step_counts_share_one_cache_entry(self):
+        geometry._simpson_nodes.cache_clear()
+        assert spheroid_report(0.3, 101) == spheroid_report(0.3, 102)
+        info = geometry._simpson_nodes.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 class TestSampleSurface:

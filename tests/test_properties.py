@@ -176,6 +176,39 @@ def test_choi_kraus_choi_round_trip(kmap):
     np.testing.assert_allclose(again.matrix, choi.matrix, atol=1e-10)
 
 
+def choi_by_basis(kmap):
+    """sum_jk |j><k| (x) E(|j><k|), the map applied to each basis operator."""
+    basis = np.eye(2, dtype=complex)
+    m = np.zeros((4, 4), dtype=complex)
+    for j in range(2):
+        for k in range(2):
+            ejk = np.outer(basis[j], basis[k])
+            m += tensor(ejk, apply(kmap, ejk))
+    return m
+
+
+@st.composite
+def signed_maps(draw):
+    k = draw(st.integers(1, 4))
+    parts = draw(arrays(np.float64, (2, k, 2, 2), elements=entries | free_entries))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+    return KrausMap(tuple(zip(signs, parts[0] + 1j * parts[1])))
+
+
+channel_maps = st.builds(
+    lambda r, which: (unruh_kraus(r), inverse_unruh(r),
+                      compose(inverse_unruh(r), unruh_kraus(r)))[which],
+    mixing_angles, st.integers(0, 2))
+
+
+@PROPERTY
+@given(kmap=st.one_of(signed_maps(), channel_maps))
+def test_choi_matrix_equals_the_basis_construction(kmap):
+    # Bit for bit, signed zeros included.
+    got = choi_matrix(kmap).matrix
+    assert np.array_equal(got.view(np.int64), choi_by_basis(kmap).view(np.int64))
+
+
 @PROPERTY
 @given(gamma=st.floats(0.0, 1.0), r=mixing_angles)
 def test_damping_and_channel_compose_into_damping(gamma, r):
