@@ -81,7 +81,7 @@ def radius_from_center(theta: float) -> float:
     return float(np.sqrt(3.0 - np.cos(2.0 * theta)) / (2.0 * np.sqrt(2.0)))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def _simpson_nodes(steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only math.sin at the nodes of [0, pi] and weights 1, 4, 2, ..., 1."""
     sines = np.array(list(map(math.sin, np.linspace(0.0, np.pi, steps + 1).tolist())))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rindler.channels import apply, unruh_kraus
 from rindler import geometry
+from rindler.channels import apply, unruh_kraus
 from rindler.geometry import (
     BlochVector,
     bloch_of,
