@@ -7,6 +7,8 @@ shared state, the image geometry on the Bloch sphere, and the formal
 (non-completely-positive) inverse map.
 """
 
+from types import ModuleType as _ModuleType
+
 from .channels import (
     ChoiMatrix,
     CpVerdict,
@@ -60,51 +62,6 @@ from .unruh import UnruhParams, cos_r, shared_state, three_mode_state, unruh_tem
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChoiMatrix",
-    "CpVerdict",
-    "KrausMap",
-    "amplitude_damping",
-    "apply",
-    "apply_to_second",
-    "choi_matrix",
-    "completeness_defect",
-    "compose",
-    "inverse_unruh",
-    "is_cp",
-    "kraus_from_choi",
-    "unruh_kraus",
-    "MeasureReport",
-    "TwoQubitDecomposition",
-    "bell_B",
-    "concurrence",
-    "decompose",
-    "dephased",
-    "f_max",
-    "measure_report",
-    "mutual_information",
-    "qmid",
-    "teleport_fidelity_mc",
-    "BlochVector",
-    "SpheroidReport",
-    "bloch_of",
-    "image_of_pure",
-    "radius_from_center",
-    "sample_surface",
-    "spheroid_report",
-    "surface_grid",
-    "EigenDecomposition",
-    "JacobiConvergenceError",
-    "eig_hermitian",
-    "partial_trace",
-    "pure_qubit",
-    "sqrt_psd",
-    "tensor",
-    "validate_density_matrix",
-    "von_neumann_entropy",
-    "UnruhParams",
-    "cos_r",
-    "shared_state",
-    "three_mode_state",
-    "unruh_temperature",
-]
+# The names imported above, in order; the submodules those imports bind are not public.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import eig_hermitian, is_hermitian, tensor
+from .qmat import _jacobi, is_hermitian, tensor
 from .unruh import _check_angle
 
 KRAUS_RANK_FLOOR = 1e-12
@@ -173,8 +173,7 @@ def choi_matrix(kmap: KrausMap, doubled: bool = True) -> ChoiMatrix:
     for sign, op in kmap.terms:
         v = op.reshape(4, order="F")
         m += sign * np.outer(v, v.conj())
-    choi = ChoiMatrix(m, doubled=True)
-    return choi if doubled else choi.state_normalized()
+    return ChoiMatrix(m if doubled else m / 2.0, doubled)
 
 
 def kraus_from_choi(choi: ChoiMatrix) -> KrausMap:
@@ -185,7 +184,7 @@ def kraus_from_choi(choi: ChoiMatrix) -> KrausMap:
     [[v0, v2], [v1, v3]]; the eigenvalue's sign becomes the term sign.
     """
     m = choi.matrix if choi.doubled else 2.0 * choi.matrix
-    dec = eig_hermitian(m)
+    dec = _jacobi(m)
     terms = []
     for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
         if abs(lam) <= KRAUS_RANK_FLOOR:
@@ -202,5 +201,5 @@ def is_cp(choi: ChoiMatrix) -> CpVerdict:
     The reported eigenvalues are in the normalization of the input
     (doubled or state form).
     """
-    lam = eig_hermitian(choi.matrix).eigenvalues
+    lam = _jacobi(choi.matrix).eigenvalues
     return CpVerdict(bool(lam[-1] >= -1e-10), float(lam[-1]), lam)

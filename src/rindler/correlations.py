@@ -19,8 +19,8 @@ from .qmat import (
     EigenDecomposition,
     _checked_eig,
     _entropy,
+    _jacobi,
     _psd_root,
-    eig_hermitian,
     partial_trace,
 )
 
@@ -94,7 +94,7 @@ def reconstruct(dec: TwoQubitDecomposition) -> np.ndarray:
 def _gamma_spectrum(rho: np.ndarray) -> np.ndarray:
     # Eigenvalues of gamma^T gamma, descending; shared by bell_B and f_max.
     gamma = _decompose(rho).gamma
-    return eig_hermitian(gamma.swapaxes(-1, -2) @ gamma).eigenvalues
+    return _jacobi(gamma.swapaxes(-1, -2) @ gamma).eigenvalues
 
 
 def _bell_B(lam: np.ndarray) -> np.ndarray:
@@ -114,7 +114,7 @@ def _concurrence(rho: np.ndarray, dec: EigenDecomposition) -> np.ndarray:
     yy = _PAULI_BASIS[2, 2]
     root = _psd_root(dec)
     m = root @ yy @ rho.conj() @ yy @ root
-    lam = eig_hermitian(m).eigenvalues
+    lam = _jacobi(m).eigenvalues
     lam = np.where(np.abs(lam) < WOOTTERS_EIG_FLOOR, 0.0, lam)
     vals = np.sqrt(np.clip(lam, 0.0, None))
     c = vals[..., 0] - vals[..., 1] - vals[..., 2] - vals[..., 3]
@@ -150,7 +150,7 @@ def _information(rho: np.ndarray, dec: EigenDecomposition, known=None) -> tuple:
     # axis -3; known is that of another state, reused if its marginals are equal.
     pair = np.stack([partial_trace(rho, [2, 2], traced) for traced in (1, 0)], axis=-3)
     same = known is not None and np.array_equal(pair, known[0])
-    spectra = known[1] if same else _checked_eig(pair, "entropy input")
+    spectra = known[1] if same else _jacobi(pair)
     s = _entropy(spectra.eigenvalues)
     return s[..., 0] + s[..., 1] - _entropy(dec.eigenvalues), (pair, spectra)
 
@@ -192,8 +192,7 @@ def dephased(rho: np.ndarray) -> np.ndarray:
 def _qmid(rho: np.ndarray, info: np.ndarray, marginals) -> np.ndarray:
     # Dephasing keeps the marginals, on every shared state to the bit.
     sigma = _dephased(rho, marginals)
-    return info - _information(sigma, _checked_eig(sigma, "entropy input"),
-                               marginals)[0]
+    return info - _information(sigma, _jacobi(sigma), marginals)[0]
 
 
 def qmid(rho: np.ndarray) -> float:

@@ -149,6 +149,13 @@ def eig_hermitian(m: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within 1e-10")
+    return _jacobi(m, max_sweeps)
+
+
+def _jacobi(m: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
+    # eig_hermitian without its checks, for a matrix already checked or
+    # Hermitian by construction. gamma^T gamma arrives real, hence the cast.
+    m = np.asarray(m, dtype=complex)
     n, eye = m.shape[-1], np.eye(m.shape[-1], dtype=complex)
     a = ((m + _dag(m)) / 2.0).reshape(-1, n, n)
     v = np.broadcast_to(eye, a.shape).copy()
@@ -197,7 +204,9 @@ def _checked_eig(m: np.ndarray, name: str) -> EigenDecomposition:
     bad = np.hypot(tr.real - 1.0, tr.imag) > 1e-10
     if bad.any():
         raise ValueError(f"{name} has trace {tr[bad][0]}, expected 1")
-    dec = eig_hermitian(m)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    dec = _jacobi(m)
     low = dec.eigenvalues[..., -1]
     if (low < PSD_TOL).any():
         raise ValueError(f"{name} has negative eigenvalue {low[low < PSD_TOL][0]}")

@@ -131,21 +131,27 @@ class TestSweep:
     # The whole table is one stacked measure_report: 5 eigensolves per
     # call, each on a stack of one matrix (or marginal pair) per row. The
     # dephased state's marginals equal the state's to the bit, so their
-    # spectra are reused.
+    # spectra are reused. The state stack is checked once, at the boundary.
     @pytest.mark.parametrize("steps", [3, 200])
     def test_one_batched_solve_per_stage(self, monkeypatch, capsys, steps):
-        solved = []
-        eig = qmat.eig_hermitian
+        solved, checked = [], []
+        eig, hermitian = qmat._jacobi, qmat.is_hermitian
 
         def counting(m, *args, **kwargs):
             solved.append(np.shape(m))
             return eig(m, *args, **kwargs)
 
+        def counting_check(m, *args, **kwargs):
+            checked.append(np.shape(m))
+            return hermitian(m, *args, **kwargs)
+
         for module in (qmat, correlations):
-            monkeypatch.setattr(module, "eig_hermitian", counting)
+            monkeypatch.setattr(module, "_jacobi", counting)
+        monkeypatch.setattr(qmat, "is_hermitian", counting_check)
         assert main(["sweep", "--steps", str(steps)]) == 0
         assert len(solved) == 5
         assert all(shape[0] == steps for shape in solved)
+        assert checked == [(steps, 4, 4)]
         capsys.readouterr()
 
     def test_solver_failure_is_numerical_error(self, monkeypatch, capsys):
@@ -187,14 +193,14 @@ class TestChannel:
 
     def test_invert_solves_the_choi_matrix_once(self, monkeypatch, capsys):
         solved = []
-        eig = qmat.eig_hermitian
+        eig = qmat._jacobi
 
         def counting(m, *args, **kwargs):
             solved.append(m)
             return eig(m, *args, **kwargs)
 
         for module in (qmat, channels, cli):
-            monkeypatch.setattr(module, "eig_hermitian", counting, raising=False)
+            monkeypatch.setattr(module, "_jacobi", counting, raising=False)
         for _ in range(2):
             solved.clear()
             assert main(["channel", "--r", "0.3", "--mode", "invert"]) == 0

@@ -403,7 +403,7 @@ class TestMeasureReport:
     )
     def test_validates_once_and_shares_spectra(self, monkeypatch, measure, solves):
         solved, checked = [], []
-        eig, check = qmat.eig_hermitian, qmat._checked_eig
+        eig, check = qmat._jacobi, qmat._checked_eig
 
         def counting_eig(m, *args, **kwargs):
             solved.append(np.array(m))
@@ -414,7 +414,7 @@ class TestMeasureReport:
             return check(m, name)
 
         for module in (qmat, correlations):
-            monkeypatch.setattr(module, "eig_hermitian", counting_eig)
+            monkeypatch.setattr(module, "_jacobi", counting_eig)
             monkeypatch.setattr(module, "_checked_eig", counting_check)
         rho = shared_state(0.3)
         for _ in range(2):
@@ -423,7 +423,7 @@ class TestMeasureReport:
             measure(rho)
             assert len(solved) == solves
             assert sum(np.array_equal(m, rho) for m in solved) == 1
-            assert checked.count("rho") == 1
+            assert checked == ["rho"]
 
     def test_dephased_marginals_solved_when_not_bit_equal(self, monkeypatch):
         # On a full-rank random state dephasing moves the marginals in the
@@ -434,14 +434,14 @@ class TestMeasureReport:
         assert not np.array_equal(
             np.stack([qmat.partial_trace(sigma, [2, 2], k) for k in (1, 0)]), pair)
         solved = []
-        eig = qmat.eig_hermitian
+        eig = qmat._jacobi
 
         def counting(m, *args, **kwargs):
             solved.append(np.shape(m))
             return eig(m, *args, **kwargs)
 
         for module in (qmat, correlations):
-            monkeypatch.setattr(module, "eig_hermitian", counting)
+            monkeypatch.setattr(module, "_jacobi", counting)
         measure_report(rho)
         assert sorted(solved) == [(2, 2, 2)] * 2 + [(3, 3)] + [(4, 4)] * 3
 
