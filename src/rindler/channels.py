@@ -17,8 +17,6 @@ import numpy as np
 from .qmat import _jacobi, is_hermitian, tensor
 from .unruh import _check_angle
 
-KRAUS_RANK_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class KrausMap:
@@ -176,18 +174,26 @@ def choi_matrix(kmap: KrausMap, doubled: bool = True) -> ChoiMatrix:
     return ChoiMatrix(m if doubled else m / 2.0, doubled)
 
 
+def _roundoff(lam: np.ndarray) -> float:
+    # n eps max|lam|: the size of the error the solve of an n x n matrix
+    # can leave on an exact zero eigenvalue, relative to the largest one.
+    return len(lam) * np.finfo(float).eps * float(np.max(np.abs(lam)))
+
+
 def kraus_from_choi(choi: ChoiMatrix) -> KrausMap:
     """Recover a signed operator-sum form from a Choi matrix.
 
-    Each eigenvector with |eigenvalue| above 1e-12 is scaled to norm
-    sqrt(|eigenvalue|) and folded column-major, (v0,v1,v2,v3) becoming
-    [[v0, v2], [v1, v3]]; the eigenvalue's sign becomes the term sign.
+    Each eigenvector whose |eigenvalue| clears the roundoff floor
+    4 eps max|eigenvalue| is scaled to norm sqrt(|eigenvalue|) and folded
+    column-major, (v0,v1,v2,v3) becoming [[v0, v2], [v1, v3]]; the
+    eigenvalue's sign becomes the term sign.
     """
     m = choi.matrix if choi.doubled else 2.0 * choi.matrix
     dec = _jacobi(m)
+    floor = _roundoff(dec.eigenvalues)
     terms = []
     for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
-        if abs(lam) <= KRAUS_RANK_FLOOR:
+        if abs(lam) <= floor:
             continue
         scaled = np.sqrt(abs(lam)) * vec
         op = scaled.reshape(2, 2, order="F")
@@ -196,10 +202,11 @@ def kraus_from_choi(choi: ChoiMatrix) -> KrausMap:
 
 
 def is_cp(choi: ChoiMatrix) -> CpVerdict:
-    """Complete positivity test: all Choi eigenvalues >= -1e-10.
+    """Complete positivity test: no Choi eigenvalue below -4 eps max|eigenvalue|.
 
-    The reported eigenvalues are in the normalization of the input
-    (doubled or state form).
+    kraus_from_choi drops the eigenvalues within this roundoff floor of zero.
+    The reported eigenvalues are in the normalization of the input (doubled
+    or state form).
     """
     lam = _jacobi(choi.matrix).eigenvalues
-    return CpVerdict(bool(lam[-1] >= -1e-10), float(lam[-1]), lam)
+    return CpVerdict(bool(lam[-1] >= -_roundoff(lam)), float(lam[-1]), lam)

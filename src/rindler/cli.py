@@ -2,9 +2,10 @@
 
 Three subcommands: `sweep` tabulates the correlation measures of the
 shared state against acceleration, `channel` prints Choi/Kraus data for
-one mixing angle (including the certified non-CP inverse), `geometry`
-samples the image spheroid. Output is deterministic; numbers use 12
-significant digits so files round-trip through float parsing.
+one mixing angle (including the inverse, certified non-CP once its
+negative Choi eigenvalue clears the roundoff floor, r >= 4.3e-8),
+`geometry` samples the image spheroid. Output is deterministic; numbers
+use 12 significant digits so files round-trip through float parsing.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numerical failure.
 """
@@ -213,12 +214,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, JacobiConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except JacobiConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 3 if isinstance(exc, OSError) else 4
 
 
 if __name__ == "__main__":

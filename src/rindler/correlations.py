@@ -16,6 +16,8 @@ import numpy as np
 from .qmat import (
     IDENTITY_2,
     PAULIS,
+    SIGMA_X,
+    SIGMA_Z,
     EigenDecomposition,
     _checked_eig,
     _entropy,
@@ -201,15 +203,10 @@ def qmid(rho: np.ndarray) -> float:
     return float(_qmid(rho, *_information(rho, dec)))
 
 
-_BELL_OUTCOMES = np.array(
-    [
-        [[1, 0], [0, 1]],
-        [[1, 0], [0, -1]],
-        [[0, 1], [1, 0]],
-        [[0, 1], [-1, 0]],
-    ],
-    dtype=complex,
-) / np.sqrt(2.0)
+# Amplitudes A[a, b] of the Bell states sum_ab A[a, b] |ab>: (s (x) I)|Phi+>
+# for s = I, Z, X, ZX gives Phi+, Phi-, Psi+, Psi-.
+_BELL_OUTCOMES = np.array([IDENTITY_2, SIGMA_Z, SIGMA_X, SIGMA_Z @ SIGMA_X])
+_BELL_OUTCOMES /= np.sqrt(2.0)
 
 
 # Samples per block of the teleport kernel, which bounds its temporaries;

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .qmat import PAULIS
 from .unruh import _check_angle
 
 
@@ -39,11 +39,7 @@ def bloch_of(rho: np.ndarray) -> BlochVector:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a qubit state, got shape {rho.shape}")
-    return BlochVector(
-        float(np.trace(rho @ SIGMA_X).real),
-        float(np.trace(rho @ SIGMA_Y).real),
-        float(np.trace(rho @ SIGMA_Z).real),
-    )
+    return BlochVector(*(float(np.trace(rho @ s).real) for s in PAULIS))
 
 
 def _check_sphere_angles(theta: float, phi: float) -> tuple[float, float]:

@@ -117,6 +117,9 @@ class TestSweep:
             ["sweep", "--omega", "nan"],
             ["sweep", "--omega", "inf"],
             ["sweep", "--seed", "1"],
+            ["sweep", "--a-min", "-1"],
+            ["sweep", "--omega", "0"],
+            ["sweep", "--format", "xml"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -236,10 +239,20 @@ class TestChannel:
             ["channel", "--a", "1", "--omega", "nan"],
             ["channel", "--r", "nan"],
             ["channel", "--r", "0.3", "--seed", "1"],
+            ["channel"],
+            ["channel", "--mode", "bogus", "--r", "0.3"],
+            ["channel", "--r", "-0.1"],
+            ["channel", "--r", "inf"],
+            ["channel", "--a", "-1"],
+            ["channel", "--a", "1", "--omega", "-1"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
         assert main(argv) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_unwritable_path_is_io_error(self, capsys):
+        assert main(["channel", "--r", "0.3", "--out", "/no/such/dir/x.txt"]) == 3
         assert "error" in capsys.readouterr().err
 
     def test_out_file(self, tmp_path):
@@ -293,11 +306,25 @@ class TestGeometry:
             ["geometry"],
             ["geometry", "--r", "nan"],
             ["geometry", "--r", "0.1", "--seed", "1"],
+            ["geometry", "--r", "0.1", "--n-phi", "0"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
         assert main(argv) == 2
         capsys.readouterr()
+
+    def test_fewest_quadrature_steps(self, capsys):
+        argv = ["geometry", "--r", "0.1", "--n-theta", "2", "--n-phi", "2", "--steps"]
+        assert main(argv + ["100"]) == 0
+        assert main(argv + ["99"]) == 2
+        capsys.readouterr()
+
+    def test_unwritable_path_is_io_error(self, capsys):
+        rc = main(["geometry", "--r", "0.1", "--n-theta", "3",
+                   "--out", "/no/such/dir/p.csv"])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "error" in err
 
 
 def test_help_exits_cleanly(capsys):
@@ -307,6 +334,7 @@ def test_help_exits_cleanly(capsys):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
+    assert main(["nosuch"]) == 2
     capsys.readouterr()
 
 

@@ -471,6 +471,18 @@ class TestMeasureReport:
         with pytest.raises(ValueError, match="expected a two-qubit state"):
             measure(np.array([BELL_PROJECTOR, BELL_PROJECTOR]))
 
+    def test_state_at_the_psd_tolerance_is_measured(self):
+        # Validation admits eigenvalues down to -1e-10; this state's first
+        # marginal has eigenvalue -1.8e-10 and is measured, not checked again.
+        rho = np.diag([-9e-11, -9e-11, 0.5 + 9e-11, 0.5 + 9e-11]).astype(complex)
+        rep = measure_report(rho)
+        assert rep == (bell_B(rho), concurrence(rho), f_max(rho), qmid(rho),
+                       mutual_information(rho))
+        assert rep.concurrence == 0.0
+        assert rep.qmid == pytest.approx(0.0, abs=1e-9)
+        assert rep.mutual_information == pytest.approx(0.0, abs=1e-9)
+        assert dephased(rho) == pytest.approx(rho, abs=1e-15)
+
     def test_ranges(self):
         rng = np.random.default_rng(149)
         for _ in range(10):

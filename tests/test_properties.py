@@ -172,8 +172,13 @@ def test_inverse_undoes_the_channel(rho, r):
 @given(kmap=cptp_maps())
 def test_choi_kraus_choi_round_trip(kmap):
     choi = choi_matrix(kmap)
-    again = choi_matrix(kraus_from_choi(choi))
+    back = kraus_from_choi(choi)
+    again = choi_matrix(back)
     np.testing.assert_allclose(again.matrix, choi.matrix, atol=1e-10)
+    # The roundoff floor 4 eps max|lam| sits above the solve's error on the
+    # zero modes of a CP map, so neither judgement calls it NCP.
+    assert is_cp(choi).is_cp
+    assert all(sign == 1 for sign, _ in back.terms)
 
 
 def choi_by_basis(kmap):
@@ -227,16 +232,22 @@ def test_damping_and_channel_compose_into_damping(gamma, r):
 
 @PROPERTY
 @given(r=mixing_angles)
+@example(r=3e-8)
+@example(r=5e-8)
+@example(r=1e-6)
+@example(r=1.4e-5)
 def test_inverse_choi_spectrum(r):
     verdict = is_cp(choi_matrix(inverse_unruh(r), doubled=False))
     low = -np.tan(r) ** 2 / 2
     assert verdict.eigenvalues.sum() == pytest.approx(1.0, abs=1e-12)
     assert verdict.min_eigenvalue == pytest.approx(low, abs=1e-12)
-    # NCP once the negative eigenvalue clears the -1e-10 CP tolerance, which
-    # is every r above 1.5e-5; r = 0 is the identity, CP.
-    if low < -2e-10:
+    # NCP once the negative eigenvalue clears the roundoff floor 4 eps
+    # max|lam|, with max|lam| = 1 + tan^2 r / 2: every r above 4.3e-8.
+    # r = 0 is the identity, CP.
+    floor = 4 * np.finfo(float).eps
+    if low < -1.1 * floor:
         assert not verdict.is_cp
-    elif low > -5e-11:
+    elif low > -0.9 * floor:
         assert verdict.is_cp
 
 

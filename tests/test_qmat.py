@@ -222,6 +222,12 @@ class TestSqrtPsd:
         with pytest.raises(ValueError):
             sqrt_psd(np.diag([1.0, -1e-4]))
 
+    def test_clamp_boundary(self):
+        # -1e-8 is the most negative eigenvalue still clamped as roundoff.
+        assert_allclose(sqrt_psd(np.diag([1.0, -1e-8])), np.diag([1.0, 0.0]), atol=0)
+        with pytest.raises(ValueError, match="not PSD"):
+            sqrt_psd(np.diag([1.0, np.nextafter(-1e-8, -1.0)]))
+
 
 class TestEntropy:
     def test_pure_state(self):

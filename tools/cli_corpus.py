@@ -12,8 +12,9 @@ once with `--out`. Dump the corpus on two source trees and compare:
 `compare` lists every run whose record differs and exits 1 if any does.
 The corpus covers sweep (csv/json x log/linear, 2 to 2000 rows, omega
 0.005 to 20, a ratios up to 1e6), all channel modes at r = 0, 1e-6, 1e-3,
-pi/4, at random r and at random --a/--omega, geometry grids from 2x2 to
-200x200, and usage and I/O errors.
+pi/4, at random r and at random --a/--omega, kraus and invert on both sides
+of the angle where the Choi roundoff floor is cleared, geometry grids from
+2x2 to 200x200, and usage and I/O errors.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ SEED = 20140
 QMID_DRIFT = ["sweep", "--omega", "0.03089858164727607", "--a-min", "6.456787829242969",
               "--a-max", "1592.7885349839266", "--steps", "500"]
 MODES = ("choi", "kraus", "invert")
+# kraus finds its second term and invert turns NCP once sin^2 r and
+# tan^2 r / 2 clear the roundoff floor 4 eps max|lam|, at r = 4.3e-8;
+# 1e-5 and 1.5e-5 straddle the fixed CP tolerance of -1e-10 used before.
+FLOOR_ANGLES = ["3e-8", "4e-8", "4.3e-8", "5e-8", "1e-5", "1.5e-5"]
 USAGE_ERRORS = [
     [],
     ["--help"],
@@ -157,6 +162,8 @@ def corpus() -> list[list[str]]:
             "--n-theta", str(n_theta), "--n-phi", str(n_phi),
             "--steps", str(grid_rng.randint(100, 20000)),
         ])
+    cases += [["channel", "--r", r, "--mode", mode]
+              for mode in ("kraus", "invert") for r in FLOOR_ANGLES]
     return cases + USAGE_ERRORS
 
 
