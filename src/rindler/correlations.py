@@ -20,6 +20,7 @@ from .qmat import (
     SIGMA_Z,
     EigenDecomposition,
     _checked_eig,
+    _dag,
     _entropy,
     _jacobi,
     _psd_root,
@@ -147,14 +148,13 @@ def f_max(rho: np.ndarray) -> float:
     return float(_f_max(_gamma_spectrum(_two_qubit(rho)[0])))
 
 
-def _information(rho: np.ndarray, dec: EigenDecomposition, known=None) -> tuple:
-    # I(rho) from its spectrum dec, and (marginals, spectra), A and B stacked on
-    # axis -3; known is that of another state, reused if its marginals are equal.
-    pair = np.stack([partial_trace(rho, [2, 2], traced) for traced in (1, 0)], axis=-3)
-    same = known is not None and np.array_equal(pair, known[0])
-    spectra = known[1] if same else _jacobi(pair)
-    s = _entropy(spectra.eigenvalues)
-    return s[..., 0] + s[..., 1] - _entropy(dec.eigenvalues), (pair, spectra)
+def _information(rho: np.ndarray, dec: EigenDecomposition) -> tuple:
+    # I(rho) from its spectrum dec, S(A) + S(B), and the marginal spectra,
+    # A and B stacked on axis -3.
+    pair = _jacobi(np.stack([partial_trace(rho, [2, 2], t) for t in (1, 0)], axis=-3))
+    s = _entropy(pair.eigenvalues)
+    local = s[..., 0] + s[..., 1]
+    return local - _entropy(dec.eigenvalues), local, pair
 
 
 def mutual_information(rho: np.ndarray) -> float:
@@ -162,43 +162,39 @@ def mutual_information(rho: np.ndarray) -> float:
     return float(_information(*_two_qubit(rho))[0])
 
 
-def _dephased(rho: np.ndarray, marginals) -> np.ndarray:
-    # outer[..., m, r, c, i] = u[r] u[c]^* for the i-th basis vector u of
-    # marginal m (A, B); each projector is a Kronecker product of two of these.
-    lam, vecs = marginals[1]
+def _dephasing(rho: np.ndarray, spectra: EigenDecomposition) -> tuple:
+    # U, the Kronecker product of the marginal eigenbases (the computational
+    # basis on a degenerate side), and the dephased spectrum diag(U^dag rho U).
+    lam, vecs = spectra
     flat = (np.abs(lam[..., 0] - lam[..., 1]) < DEGENERACY_GAP)[..., None, None]
     basis = np.where(flat, np.eye(2, dtype=complex), vecs)
-    outer = basis[..., :, None, :] * basis.conj()[..., None, :, :]
-    out = np.zeros_like(rho)
-    for i in range(2):
-        for j in range(2):
-            pa, pb = outer[..., 0, :, :, i], outer[..., 1, :, :, j]
-            proj = pa[..., :, None, :, None] * pb[..., None, :, None, :]
-            proj = proj.reshape(rho.shape)
-            out += proj @ rho @ proj
-    return out
+    a, b = basis[..., 0, :, :], basis[..., 1, :, :]
+    u = (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(rho.shape)
+    return u, (_dag(u) @ rho @ u).diagonal(axis1=-2, axis2=-1).real
 
 
 def dephased(rho: np.ndarray) -> np.ndarray:
     """Project onto the product of the marginal eigenbases.
 
-    Degenerate marginals (gap below DEGENERACY_GAP) dephase in the
-    computational basis; this fixed convention keeps the result
-    deterministic even though a degenerate marginal has no preferred
-    eigenbasis.
+    The result is U diag(p) U^dag, with U the Kronecker product of the two
+    marginal eigenbases and p = diag(U^dag rho U). Degenerate marginals
+    (gap below DEGENERACY_GAP) dephase in the computational basis; this
+    fixed convention keeps the result deterministic even though a
+    degenerate marginal has no preferred eigenbasis.
     """
     rho, dec = _two_qubit(rho)
-    return _dephased(rho, _information(rho, dec)[1])
+    u, p = _dephasing(rho, _information(rho, dec)[2])
+    return (u * p) @ _dag(u)
 
 
-def _qmid(rho: np.ndarray, info: np.ndarray, marginals) -> np.ndarray:
-    # Dephasing keeps the marginals, on every shared state to the bit.
-    sigma = _dephased(rho, marginals)
-    return info - _information(sigma, _jacobi(sigma), marginals)[0]
+def _qmid(rho: np.ndarray, info, local, spectra) -> np.ndarray:
+    # Dephasing keeps the marginals, so I(dephased) = S(A) + S(B) - H(p);
+    # p is summed in descending order, as a solve would return it.
+    return info - (local - _entropy(np.sort(_dephasing(rho, spectra)[1])[..., ::-1]))
 
 
 def qmid(rho: np.ndarray) -> float:
-    """Measurement-induced disturbance: mutual information lost on dephasing."""
+    """Measurement-induced disturbance I(rho) - I(dephased(rho)), in bits."""
     rho, dec = _two_qubit(rho)
     return float(_qmid(rho, *_information(rho, dec)))
 
@@ -271,12 +267,12 @@ def measure_report(rho: np.ndarray) -> MeasureReport:
     """
     rho, dec = _two_qubit(rho, stacked=True)
     lam = _gamma_spectrum(rho)
-    info, marginals = _information(rho, dec)
+    info, local, spectra = _information(rho, dec)
     rep = MeasureReport(
         bell_B=_bell_B(lam),
         concurrence=_concurrence(rho, dec),
         f_max=_f_max(lam),
-        qmid=_qmid(rho, info, marginals),
+        qmid=_qmid(rho, info, local, spectra),
         mutual_information=info,
     )
     return MeasureReport(*map(float, rep)) if rho.ndim == 2 else rep

@@ -198,14 +198,14 @@ def _checked_eig(m: np.ndarray, name: str) -> EigenDecomposition:
     # Density-matrix checks of a matrix or a stack (errors name the first
     # bad one); the spectrum the positivity check solves is kept.
     m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not is_hermitian(m):
         raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL}")
     tr = np.asarray(np.trace(m, axis1=-2, axis2=-1))
     bad = np.hypot(tr.real - 1.0, tr.imag) > 1e-10
     if bad.any():
         raise ValueError(f"{name} has trace {tr[bad][0]}, expected 1")
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dec = _jacobi(m)
     low = dec.eigenvalues[..., -1]
     if (low < PSD_TOL).any():

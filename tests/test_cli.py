@@ -131,10 +131,10 @@ class TestSweep:
         assert rc == 3
         assert "error" in capsys.readouterr().err
 
-    # The whole table is one stacked measure_report: 5 eigensolves per
+    # The whole table is one stacked measure_report: 4 eigensolves per
     # call, each on a stack of one matrix (or marginal pair) per row. The
-    # dephased state's marginals equal the state's to the bit, so their
-    # spectra are reused. The state stack is checked once, at the boundary.
+    # dephased spectrum is read off the marginal eigenbases without a
+    # solve. The state stack is checked once, at the boundary.
     @pytest.mark.parametrize("steps", [3, 200])
     def test_one_batched_solve_per_stage(self, monkeypatch, capsys, steps):
         solved, checked = [], []
@@ -152,7 +152,7 @@ class TestSweep:
             monkeypatch.setattr(module, "_jacobi", counting)
         monkeypatch.setattr(qmat, "is_hermitian", counting_check)
         assert main(["sweep", "--steps", str(steps)]) == 0
-        assert len(solved) == 5
+        assert len(solved) == 4
         assert all(shape[0] == steps for shape in solved)
         assert checked == [(steps, 4, 4)]
         capsys.readouterr()
@@ -209,6 +209,17 @@ class TestChannel:
             assert main(["channel", "--r", "0.3", "--mode", "invert"]) == 0
             assert len(solved) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("mode", ["kraus", "invert"])
+    def test_solver_failure_is_numerical_error(self, monkeypatch, capsys, mode):
+        def fail(m, *args, **kwargs):
+            raise JacobiConvergenceError("no convergence")
+
+        monkeypatch.setattr("rindler.channels._jacobi", fail)
+        assert main(["channel", "--r", "0.3", "--mode", mode]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: no convergence" in captured.err
 
     def test_invert_at_rest_is_cp(self, capsys):
         assert main(["channel", "--r", "0", "--mode", "invert"]) == 0

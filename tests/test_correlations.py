@@ -389,19 +389,25 @@ class TestMeasureReport:
 
     # Eigensolves per public call: the input once (its validation, reused
     # for S(AB) and sqrt(rho)), both marginals in one stacked solve (entropy
-    # and dephasing basis), plus gamma^T gamma, the Wootters matrix and the
-    # dephased state, as each call needs them. The dephased state's
-    # marginals equal those of shared_state(0.3) to the bit: not solved again.
+    # and dephasing basis), plus gamma^T gamma and the Wootters matrix, as
+    # each call needs them. The dephased spectrum is diag(U^dag rho U), read
+    # off without a solve, and dephasing keeps the marginals: on a full-rank
+    # random state, whose dephased marginals differ from its own in the
+    # last bits, the count is the same.
     @pytest.mark.parametrize(
-        "measure, solves",
+        "measure, solves, rho",
         [
-            pytest.param(measure_report, 5, id="measure_report"),
-            pytest.param(concurrence, 2, id="concurrence"),
-            pytest.param(mutual_information, 2, id="mutual_information"),
-            pytest.param(qmid, 3, id="qmid"),
+            pytest.param(measure_report, 4, shared_state(0.3), id="measure_report"),
+            pytest.param(concurrence, 2, shared_state(0.3), id="concurrence"),
+            pytest.param(mutual_information, 2, shared_state(0.3),
+                         id="mutual_information"),
+            pytest.param(qmid, 2, shared_state(0.3), id="qmid"),
+            pytest.param(measure_report, 4,
+                         random_two_qubit_density(np.random.default_rng(157)),
+                         id="measure_report_full_rank"),
         ],
     )
-    def test_validates_once_and_shares_spectra(self, monkeypatch, measure, solves):
+    def test_validates_once_and_shares_spectra(self, monkeypatch, measure, solves, rho):
         solved, checked = [], []
         eig, check = qmat._jacobi, qmat._checked_eig
 
@@ -416,7 +422,6 @@ class TestMeasureReport:
         for module in (qmat, correlations):
             monkeypatch.setattr(module, "_jacobi", counting_eig)
             monkeypatch.setattr(module, "_checked_eig", counting_check)
-        rho = shared_state(0.3)
         for _ in range(2):
             solved.clear()
             checked.clear()
@@ -424,26 +429,6 @@ class TestMeasureReport:
             assert len(solved) == solves
             assert sum(np.array_equal(m, rho) for m in solved) == 1
             assert checked == ["rho"]
-
-    def test_dephased_marginals_solved_when_not_bit_equal(self, monkeypatch):
-        # On a full-rank random state dephasing moves the marginals in the
-        # last bits, so the dephased pair gets a solve of its own: 6 in all.
-        rho = random_two_qubit_density(np.random.default_rng(157))
-        pair = np.stack([qmat.partial_trace(rho, [2, 2], k) for k in (1, 0)])
-        sigma = dephased(rho)
-        assert not np.array_equal(
-            np.stack([qmat.partial_trace(sigma, [2, 2], k) for k in (1, 0)]), pair)
-        solved = []
-        eig = qmat._jacobi
-
-        def counting(m, *args, **kwargs):
-            solved.append(np.shape(m))
-            return eig(m, *args, **kwargs)
-
-        for module in (qmat, correlations):
-            monkeypatch.setattr(module, "_jacobi", counting)
-        measure_report(rho)
-        assert sorted(solved) == [(2, 2, 2)] * 2 + [(3, 3)] + [(4, 4)] * 3
 
     def test_subnormal_entries(self):
         # A valid state the solver once failed on: its rotation divided by

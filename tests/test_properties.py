@@ -27,17 +27,22 @@ from rindler.channels import (
     unruh_kraus,
 )
 from rindler.correlations import (
+    _BELL_OUTCOMES,
     _PAULI_BASIS,
+    _SIGMAS,
+    DEGENERACY_GAP,
+    _dephasing,
     bell_B,
     concurrence,
     decompose,
+    dephased,
     f_max,
     measure_report,
     mutual_information,
     qmid,
 )
 from rindler.geometry import image_of_pure, surface_grid
-from rindler.qmat import eig_hermitian, tensor
+from rindler.qmat import PAULIS, eig_hermitian, partial_trace, tensor
 from rindler.unruh import shared_state
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -168,8 +173,17 @@ def test_inverse_undoes_the_channel(rho, r):
     np.testing.assert_allclose(restored, rho, atol=1e-12)
 
 
-@PROPERTY
-@given(kmap=cptp_maps())
+# Equal-weight mixtures of distinct Paulis: their Choi spectra have exact
+# ties, so the solve's lexsort tie-break orders the extracted operators.
+pauli_mixtures = st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True).map(
+    lambda idx: KrausMap(tuple((1, _SIGMAS[i] / np.sqrt(len(idx))) for i in idx)))
+
+
+@settings(PROPERTY, max_examples=120)
+@given(kmap=st.one_of(cptp_maps(), pauli_mixtures))
+@example(kmap=KrausMap(((1, _SIGMAS[0] / np.sqrt(2)), (1, _SIGMAS[0] / np.sqrt(2)))))
+@example(kmap=KrausMap(((1, _SIGMAS[0] / np.sqrt(2)), (1, _SIGMAS[3] / np.sqrt(2)))))
+@example(kmap=KrausMap(tuple((1, s / 2) for s in _SIGMAS)))
 def test_choi_kraus_choi_round_trip(kmap):
     choi = choi_matrix(kmap)
     back = kraus_from_choi(choi)
@@ -179,6 +193,53 @@ def test_choi_kraus_choi_round_trip(kmap):
     # zero modes of a CP map, so neither judgement calls it NCP.
     assert is_cp(choi).is_cp
     assert all(sign == 1 for sign, _ in back.terms)
+
+
+def dephased_by_projectors(rho):
+    """sum_ij (P_i (x) Q_j) rho (P_i (x) Q_j) over the marginal eigenbases,
+    the computational basis on a degenerate side."""
+    bases = []
+    for traced in (1, 0):
+        lam, vecs = eig_hermitian(partial_trace(rho, [2, 2], traced))
+        bases.append(np.eye(2) if abs(lam[0] - lam[1]) < DEGENERACY_GAP else vecs)
+    out = np.zeros((4, 4), dtype=complex)
+    for a in bases[0].T:
+        for b in bases[1].T:
+            proj = np.outer(np.kron(a, b), np.kron(a, b).conj())
+            out += proj @ rho @ proj
+    return out
+
+
+@st.composite
+def bell_mixtures(draw):
+    # Locally rotated mixtures of Bell states: both marginals are I/2.
+    q = draw(arrays(np.float64, 4, elements=st.integers(0, 4).map(float)))
+    assume(q.sum() > 0)
+    vecs = _BELL_OUTCOMES.reshape(4, 4)
+    rho = np.einsum("k,ki,kj->ij", q / q.sum(), vecs, vecs.conj())
+    w = tensor(draw(qubit_unitaries()), draw(qubit_unitaries()))
+    return w @ rho @ w.conj().T
+
+
+# Marginals I/2 + 1e-10 sigma/2: degenerate within DEGENERACY_GAP, yet off
+# the diagonal by more than the solver's 1e-13, so a solved basis would
+# differ from the fallback one.
+NEAR_FLAT = (np.eye(4) + 1e-10 * (tensor(PAULIS[0], np.eye(2))
+                                  + tensor(np.eye(2), PAULIS[1]))) / 4
+
+
+@settings(PROPERTY, max_examples=200)
+@given(rho=st.one_of(states, bell_mixtures()))
+@example(rho=NEAR_FLAT)
+def test_dephased_spectrum_is_read_off_the_product_basis(rho):
+    # The shared states and Bell mixtures dephase one or both sides in the
+    # fallback basis (about 40 of the 200 examples), the rest in solved ones.
+    np.testing.assert_allclose(dephased(rho), dephased_by_projectors(rho),
+                               rtol=0, atol=2e-15)
+    pair = np.stack([partial_trace(rho, [2, 2], traced) for traced in (1, 0)])
+    p = np.sort(_dephasing(rho, eig_hermitian(pair))[1])[::-1]
+    np.testing.assert_allclose(eig_hermitian(dephased(rho)).eigenvalues, p,
+                               rtol=0, atol=1e-14)
 
 
 def choi_by_basis(kmap):

@@ -246,6 +246,13 @@ class TestEntropy:
             0.8112781244591328, abs=1e-13
         )
 
+    # The shape is checked before Hermiticity and trace, which would
+    # otherwise fail inside numpy on these inputs.
+    @pytest.mark.parametrize("m", [np.ones((3, 4)), np.ones(4) / 4])
+    def test_rejects_non_square(self, m):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            von_neumann_entropy(m)
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(13)
         for _ in range(10):

@@ -1,15 +1,21 @@
-"""Byte-identity check for the `rindler` command line.
+"""Byte-identity check for the `rindler` command line and library values.
 
 Runs a fixed, seeded corpus of argv through `rindler.cli.main` in process
 and records, for every run, the exit code, stdout, stderr and the bytes of
 the `--out` file. Every argv that succeeds is run twice: once to stdout and
-once with `--out`. Dump the corpus on two source trees and compare:
+once with `--out`. A library section records the `repr` of every
+`measure_report` field and every `dephased` entry for 300 seeded states,
+listed as `lib measure_report #17`, `lib dephased #17`: every sweep row is
+a shared state, so the CLI bytes do not see general-state values. Dump the
+corpus on two source trees and compare:
 
     python tools/cli_corpus.py dump before.jsonl --src /path/to/old/src
     python tools/cli_corpus.py dump after.jsonl
     python tools/cli_corpus.py compare before.jsonl after.jsonl
 
-`compare` lists every run whose record differs and exits 1 if any does.
+`compare` lists every run and library record that differs, counts the
+library records apart from the CLI runs, with the largest |change| of a
+value per function, and exits 1 if anything differs.
 The corpus covers sweep (csv/json x log/linear, 2 to 2000 rows, omega
 0.005 to 20, a ratios up to 1e6), all channel modes at r = 0, 1e-6, 1e-3,
 pi/4, at random r and at random --a/--omega, kraus and invert on both sides
@@ -28,6 +34,8 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SEED = 20140
 # A sweep whose qmid column moves in the 12th digit when qmid is computed
@@ -167,6 +175,43 @@ def corpus() -> list[list[str]]:
     return cases + USAGE_ERRORS
 
 
+# Library states: A A^dag / Tr with a 4 x k complex A, k = 1..4 in turn,
+# four lattice states (entries multiples of 1/4, so degenerate marginals
+# are common) then four Gaussian ones.
+LIB_STATES = 300
+LIB_FUNCTIONS = ("measure_report", "dephased")
+
+
+def lib_states() -> list:
+    """The seeded library states; identical on every run and every tree."""
+    rng = np.random.default_rng(SEED)
+    states = []
+    while len(states) < LIB_STATES:
+        k = 1 + len(states) % 4
+        if len(states) // 4 % 2:
+            parts = rng.normal(size=(2, 4, k))
+        else:
+            parts = rng.integers(-4, 5, size=(2, 4, k)) / 4.0
+        a = parts[0] + 1j * parts[1]
+        m = a @ a.conj().T
+        tr = np.trace(m).real
+        if tr > 1e-3:
+            states.append(m / tr)
+    return states
+
+
+def _lib_records(rindler):
+    for i, rho in enumerate(lib_states()):
+        for name in LIB_FUNCTIONS:
+            rec = {"lib": f"{name} #{i}"}
+            try:
+                values = np.ravel(getattr(rindler, name)(rho)).tolist()
+                rec["values"] = [repr(v) for v in values]
+            except Exception as exc:
+                rec["error"] = f"{type(exc).__name__}: {exc}"
+            yield rec
+
+
 def _run(main, argv: list[str], out_path: Path | None) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     full = argv if out_path is None else argv + ["--out", str(out_path)]
@@ -182,6 +227,7 @@ def _run(main, argv: list[str], out_path: Path | None) -> dict:
 
 def dump(dest: Path, src: Path) -> None:
     sys.path.insert(0, str(src.resolve()))
+    import rindler
     from rindler.cli import main
 
     cases = corpus()
@@ -195,26 +241,53 @@ def dump(dest: Path, src: Path) -> None:
             if rec["rc"] == 0 and "--help" not in argv:
                 fh.write(json.dumps(_run(main, argv, out_path)) + "\n")
                 runs += 1
-    print(f"{len(cases)} argv, {runs} runs -> {dest}")
+        n_lib = 0
+        for rec in _lib_records(rindler):
+            fh.write(json.dumps(rec) + "\n")
+            n_lib += 1
+    print(f"{len(cases)} argv, {runs} runs, {n_lib} library records -> {dest}")
 
 
-def _load(path: Path) -> dict:
-    recs = {}
+def _load(path: Path) -> tuple[dict, dict]:
+    # CLI runs keyed (argv, to_file); library records keyed by their name.
+    runs, lib = {}, {}
     for line in path.read_text().splitlines():
         rec = json.loads(line)
-        recs[(tuple(rec["argv"]), rec["to_file"])] = rec
-    return recs
+        if "lib" in rec:
+            lib[rec["lib"]] = rec
+        else:
+            runs[(tuple(rec["argv"]), rec["to_file"])] = rec
+    return runs, lib
+
+
+def _largest_change(x: dict | None, y: dict | None) -> float:
+    # Largest |difference| of paired values; inf when a side has none.
+    if not (x and y and "values" in x and "values" in y):
+        return math.inf
+    return max((abs(complex(u) - complex(v)) for u, v in zip(x["values"], y["values"])),
+               default=0.0)
 
 
 def compare(a: Path, b: Path) -> int:
-    left, right = _load(a), _load(b)
+    (left, left_lib), (right, right_lib) = _load(a), _load(b)
     keys = sorted(set(left) | set(right))
     differ = [k for k in keys if left.get(k) != right.get(k)]
     for argv, to_file in differ:
         print(("--out " if to_file else "") + " ".join(argv))
+    names = list(dict.fromkeys([*left_lib, *right_lib]))
+    lib_differ = [k for k in names if left_lib.get(k) != right_lib.get(k)]
+    for name in lib_differ:
+        print(f"lib {name}")
     n_argv = len({argv for argv, _ in keys})
     print(f"{n_argv} argv, {len(keys)} runs, {len(differ)} differ")
-    return 1 if differ else 0
+    for func in LIB_FUNCTIONS:
+        total = [k for k in names if k.split(" #")[0] == func]
+        moved = [k for k in lib_differ if k.split(" #")[0] == func]
+        delta = max((_largest_change(left_lib.get(k), right_lib.get(k)) for k in moved),
+                    default=0.0)
+        print(f"lib {func}: {len(total)} records, {len(moved)} differ, "
+              f"max |change| {delta:.3g}")
+    return 1 if differ or lib_differ else 0
 
 
 def main(argv=None) -> int:
