@@ -28,11 +28,19 @@ SWEEP_HEADER = "a,r,bell_half,concurrence,f_max,qmid"
 # One sweep row as a %-template: CSV, and JSON in the layout of json.dumps(indent=2).
 _FIELDS = SWEEP_HEADER.split(",")
 CSV_ROW = ",".join(["%.12g"] * len(_FIELDS)) + "\n"
-JSON_ROW = "  {\n" + ",\n".join(f'    "{f}": %r' for f in _FIELDS) + "\n  }"
+JSON_ROW = "  {\n" + ",\n".join(f'    "{f}": %s' for f in _FIELDS) + "\n  }"
 QMID_NOTE = (
     "# qmid convention: degenerate marginal eigenbases fall back to the"
     " computational basis"
 )
+
+
+def _json_token(tok: str) -> str:
+    # repr(float(tok)): differs from tok on integral text, exponents 12-15, subnormals.
+    if "e" not in tok:
+        return tok if "." in tok or "n" in tok else tok + ".0"
+    exp = int(tok[tok.index("e") + 1:])
+    return repr(float(tok)) if 12 <= exp <= 15 or exp < -307 else tok
 
 
 def _fmt(x: float) -> str:
@@ -104,8 +112,8 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         text = f"{QMID_NOTE}\n{SWEEP_HEADER}\n" + CSV_ROW * len(r) % values
     else:
-        rounded = tuple(map(float, ("%.12g," * len(values) % values).split(",")[:-1]))
-        text = "[\n" + ",\n".join([JSON_ROW] * len(r)) % rounded + "\n]\n"
+        tokens = map(_json_token, ("%.12g," * len(values) % values).split(",")[:-1])
+        text = "[\n" + ",\n".join([JSON_ROW] * len(r)) % tuple(tokens) + "\n]\n"
     _emit(text, args.out)
     return 0
 

@@ -72,6 +72,8 @@ _PAULI_BASIS = np.array([[np.kron(si, sj) for sj in _SIGMAS] for si in _SIGMAS])
 # in row _PAULI_ROW[k, i, j].
 _PAULI_ROW = np.abs(_PAULI_BASIS).argmax(axis=-2).transpose(2, 0, 1)
 _PAULI_ENTRY = _PAULI_BASIS.sum(axis=-2).transpose(2, 0, 1)
+# x @ _PAULI_BASIS[2, 2] is x[..., ::-1] * _YY_SIGNS but for the signs of zeros.
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 def _decompose(rho: np.ndarray) -> TwoQubitDecomposition:
@@ -97,7 +99,7 @@ def reconstruct(dec: TwoQubitDecomposition) -> np.ndarray:
 def _gamma_spectrum(rho: np.ndarray) -> np.ndarray:
     # Eigenvalues of gamma^T gamma, descending; shared by bell_B and f_max.
     gamma = _decompose(rho).gamma
-    return _jacobi(gamma.swapaxes(-1, -2) @ gamma).eigenvalues
+    return _jacobi(gamma.swapaxes(-1, -2) @ gamma, vectors=False).eigenvalues
 
 
 def _bell_B(lam: np.ndarray) -> np.ndarray:
@@ -114,10 +116,10 @@ def bell_B(rho: np.ndarray) -> float:
 
 
 def _concurrence(rho: np.ndarray, dec: EigenDecomposition) -> np.ndarray:
-    yy = _PAULI_BASIS[2, 2]
     root = _psd_root(dec)
-    m = root @ yy @ rho.conj() @ yy @ root
-    lam = _jacobi(m).eigenvalues
+    m = (((root[..., ::-1] * _YY_SIGNS) @ rho.conj())[..., ::-1] * _YY_SIGNS) @ root
+    # The floor also makes +0 of any zero whose sign the reversals changed.
+    lam = _jacobi(m, vectors=False).eigenvalues
     lam = np.where(np.abs(lam) < WOOTTERS_EIG_FLOOR, 0.0, lam)
     vals = np.sqrt(np.clip(lam, 0.0, None))
     c = vals[..., 0] - vals[..., 1] - vals[..., 2] - vals[..., 3]

@@ -8,6 +8,7 @@ matrix square root and von Neumann entropy.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 PSD_TOL = -1e-10
 _TINY = np.finfo(float).tiny
+_eye = functools.cache(lambda n: np.broadcast_to(np.eye(n, dtype=complex), (n, n)))
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -96,23 +98,22 @@ def _unconverged(a: np.ndarray, live):
     n = a.shape[-1]
     sq = np.abs(a[live]).reshape(-1, n * n) ** 2
     sq[:, :: n + 1] = 0.0
-    norm = np.sqrt(np.sum(sq, axis=-1))
-    keep = ~(norm <= 1e-13)
-    if np.count_nonzero(keep) == len(keep):
+    keep = ~(np.sqrt(sq.sum(axis=-1)) <= 1e-13)
+    if keep.all():
         return live
-    return np.arange(len(a))[live][keep] if np.count_nonzero(keep) else None
+    return np.arange(len(a))[live][keep] if keep.any() else None
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, live, p: int, q: int, eye) -> None:
-    # One Jacobi step on entry (p, q) of every matrix in a[live], in place.
+def _rotate(a: np.ndarray, v, live, p: int, q: int, eye) -> None:
+    # One Jacobi step on entry (p, q) of every matrix in a[live] and v[live], in place.
     # The phase of g is absorbed first, then a real rotation annihilates it.
     # |g| below the smallest normal float counts as zero: g / |g| overflows.
     g = a[live, p, q]
     absg = np.hypot(g.real, g.imag)
     turn = absg >= _TINY
-    if not np.count_nonzero(turn):
+    if not turn.any():
         return
-    if np.count_nonzero(turn) < len(turn):
+    if not turn.all():
         live, g, absg = np.arange(len(a))[live][turn], g[turn], absg[turn]
     phase = (g / absg).conj()
     tau = (a[live, q, q].real - a[live, p, p].real) / (2.0 * absg)
@@ -124,7 +125,8 @@ def _rotate(a: np.ndarray, v: np.ndarray, live, p: int, q: int, eye) -> None:
     j[:] = eye
     j[:, p, p], j[:, p, q], j[:, q, p], j[:, q, q] = c, s, -s * phase, c * phase
     a[live] = _dag(j) @ a[live] @ j
-    v[live] = v[live] @ j
+    if v is not None:
+        v[live] = v[live] @ j
 
 
 def eig_hermitian(m: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
@@ -152,27 +154,26 @@ def eig_hermitian(m: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
     return _jacobi(m, max_sweeps)
 
 
-def _jacobi(m: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
+def _jacobi(m: np.ndarray, max_sweeps: int = 100, vectors=True) -> EigenDecomposition:
     # eig_hermitian without its checks, for a matrix already checked or
-    # Hermitian by construction. gamma^T gamma arrives real, hence the cast.
+    # Hermitian by construction (gamma^T gamma arrives real, hence the cast).
+    # vectors=False runs the same rotations, which depend on a alone, and no more.
     m = np.asarray(m, dtype=complex)
-    n, eye = m.shape[-1], np.eye(m.shape[-1], dtype=complex)
+    n, eye = m.shape[-1], _eye(m.shape[-1])
     a = ((m + _dag(m)) / 2.0).reshape(-1, n, n)
-    v = np.broadcast_to(eye, a.shape).copy()
+    v = eye[None].repeat(len(a), axis=0) if vectors else None
 
     # live selects the matrices still rotating: all of them, as a slice,
     # until one converges, then an index array. tau overflows only for a
     # tiny |g|; t is then 0, its limit, and the rotation absorbs g's phase.
-    live = slice(None)
     with np.errstate(over="ignore"):
+        live = rotating = _unconverged(a, slice(None))
         for _ in range(max_sweeps):
-            live = _unconverged(a, live)
             if live is None:
                 break
             for p in range(n - 1):
                 for q in range(p + 1, n):
                     _rotate(a, v, live, p, q, eye)
-        else:
             live = _unconverged(a, live)
     if live is not None:
         raise JacobiConvergenceError(
@@ -181,15 +182,21 @@ def _jacobi(m: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
 
     lam = a.diagonal(axis1=-2, axis2=-1).real
     rows, cols = np.arange(len(a))[:, None], np.arange(n)
-    # Fix each eigenvector's global phase so its first significant entry
-    # is real and positive; this makes the tie-break below well defined.
-    # The columns of v are unit vectors, so every one has such an entry.
-    absv = np.hypot(v.real, v.imag)
-    first = (absv > 1e-12).argmax(axis=-2)
-    v = v * (v[rows, first, cols].conj() / absv[rows, first, cols])[:, None, :]
-    # Sort by -lam, then by (re, im) of each eigenvector entry, top row first.
-    entries = np.stack([v.real, v.imag], axis=-2).reshape(len(a), 2 * n, n)
-    order = np.lexsort(np.concatenate([entries.swapaxes(0, 1)[::-1], -lam[None]]))
+    if vectors and rotating is not None:
+        # Fix each eigenvector's global phase so its first significant entry
+        # is real and positive; this makes the tie-break below well defined.
+        # The columns of v are unit vectors, so every one has such an entry.
+        absv = np.hypot(v.real, v.imag)
+        first = (absv > 1e-12).argmax(axis=-2)
+        v = v * (v[rows, first, cols].conj() / absv[rows, first, cols])[:, None, :]
+        # Sort by -lam, then by (re, im) of each eigenvector entry, top row first.
+        keys, w = np.empty((2 * n + 1, len(a), n)), v.swapaxes(0, 1)
+        keys[-1], keys[-2::-2], keys[-3::-2] = -lam, w.real, w.imag
+        order = np.lexsort(keys)
+    else:  # As the sort above orders identity vectors: ties highest index first.
+        order = (n - 1) - np.argsort(-lam[:, ::-1], axis=-1, kind="stable")
+    if not vectors:
+        return EigenDecomposition(lam[rows, order].reshape(m.shape[:-1]), None)
     lam, vecs = lam[rows, order], v[rows[:, None], cols[:, None], order[:, None]]
     return EigenDecomposition(lam.reshape(m.shape[:-1]), vecs.reshape(m.shape))
 
@@ -246,11 +253,9 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
 
 def _entropy(lam: np.ndarray) -> np.ndarray:
     # -sum(x log2 x) over the last axis, in order, skipping x <= 0.
-    s = 0.0
-    for x in np.moveaxis(lam, -1, 0):
-        pos = x > 0.0
-        s = s - np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0)
-    return s
+    pos = lam > 0.0
+    terms = np.where(pos, lam * np.log2(np.where(pos, lam, 1.0)), 0.0)
+    return functools.reduce(np.subtract, np.moveaxis(terms, -1, 0), 0.0)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

@@ -87,6 +87,30 @@ class TestSweep:
             assert list(row) == keys
             assert [row[k] for k in keys] == list(data[i])
 
+    def test_json_tokens_are_float_reprs(self):
+        # The JSON text of a value x is repr(float('%.12g' % x)), which the
+        # sweep writes without parsing its %.12g tokens back: checked on 10^6
+        # floats of random exponent, integral values, 1e11-1e17 (where %.12g
+        # turns to exponents and repr does not), subnormals and the corners.
+        rng = np.random.default_rng(2014)
+
+        def signed(x):
+            return x * rng.choice([-1.0, 1.0], size=len(x))
+
+        x = np.concatenate([
+            np.frombuffer(rng.bytes(8 * 100_000), dtype=np.float64),
+            signed(rng.normal(size=470_000) * 10.0 ** rng.integers(-12, 12, 470_000)),
+            signed(np.floor(10.0 ** rng.uniform(0, 17, 250_000))),
+            signed(10.0 ** rng.uniform(11, 17, 149_986)),
+            signed(rng.integers(1, 2**52, 30_000).view(np.float64)),
+            [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny, np.finfo(float).max,
+             1e11, 1e12, 999999999999.5, 1e15, 1e16, 1e17, np.inf, -np.inf],
+        ])
+        assert len(x) == 10**6
+        values = tuple(x.tolist())
+        tokens = ("%.12g," * len(values) % values).split(",")[:-1]
+        assert list(map(cli._json_token, tokens)) == list(map(repr, map(float, tokens)))
+
     def test_stdout_when_no_out_path(self, capsys):
         assert main(["sweep", "--steps", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -137,11 +161,12 @@ class TestSweep:
     # solve. The state stack is checked once, at the boundary.
     @pytest.mark.parametrize("steps", [3, 200])
     def test_one_batched_solve_per_stage(self, monkeypatch, capsys, steps):
-        solved, checked = [], []
+        solved, checked, spectra_only = [], [], []
         eig, hermitian = qmat._jacobi, qmat.is_hermitian
 
         def counting(m, *args, **kwargs):
             solved.append(np.shape(m))
+            spectra_only.append(kwargs.get("vectors") is False)
             return eig(m, *args, **kwargs)
 
         def counting_check(m, *args, **kwargs):
@@ -154,6 +179,8 @@ class TestSweep:
         assert main(["sweep", "--steps", str(steps)]) == 0
         assert len(solved) == 4
         assert all(shape[0] == steps for shape in solved)
+        # gamma^T gamma and the Wootters matrix are read for their spectra alone.
+        assert spectra_only.count(True) == 2
         assert checked == [(steps, 4, 4)]
         capsys.readouterr()
 

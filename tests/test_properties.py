@@ -42,7 +42,7 @@ from rindler.correlations import (
     qmid,
 )
 from rindler.geometry import image_of_pure, surface_grid
-from rindler.qmat import PAULIS, eig_hermitian, partial_trace, tensor
+from rindler.qmat import PAULIS, _jacobi, eig_hermitian, partial_trace, tensor
 from rindler.unruh import shared_state
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -138,6 +138,35 @@ def test_stack_entries_equal_single_calls(stack):
         assert _same(dec.eigenvectors[i], one.eigenvectors)
         for stacked, single in zip(rep, measure_report(rho)):
             assert _same(stacked[i], single)
+
+
+@st.composite
+def hermitian_stacks(draw):
+    # m + m^dag over lattice or free-float entries; some matrices keep only
+    # a diagonal drawn from ties and exact +-0, so stacks may rotate in part,
+    # wholly or not at all.
+    n, k = draw(st.sampled_from([2, 3, 4, 8])), draw(st.integers(1, 6))
+    parts = draw(arrays(np.float64, (2, k, n, n),
+                        elements=draw(st.sampled_from([entries, free_entries]))))
+    m = parts[0] + 1j * parts[1]
+    m = m + m.conj().swapaxes(-1, -2)
+    ties = st.sampled_from([0.0, -0.0, 0.5, -0.5])
+    for i in range(k):
+        if draw(st.booleans()):
+            m[i] = np.diag(draw(arrays(np.float64, n, elements=ties)))
+    return m
+
+
+@PROPERTY
+@given(m=hermitian_stacks())
+def test_spectra_only_solve_equals_the_full_solve(m):
+    # The same values under ==, and the same multiset of bits per matrix:
+    # only the order of tied +0 and -0 may differ.
+    full, spectra = _jacobi(m), _jacobi(m, vectors=False)
+    assert spectra.eigenvectors is None
+    assert np.array_equal(spectra.eigenvalues, full.eigenvalues)
+    assert np.array_equal(np.sort(spectra.eigenvalues.view(np.int64)),
+                          np.sort(full.eigenvalues.view(np.int64)))
 
 
 @PROPERTY

@@ -8,6 +8,7 @@ from rindler.qmat import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _jacobi,
     eig_hermitian,
     partial_trace,
     pure_qubit,
@@ -130,6 +131,22 @@ class TestPartialTrace:
             partial_trace(np.eye(4) / 4, [2, 2], 2)
 
 
+def sort_by_vectors(lam, v):
+    """The solver's general order of one solve, column by column in Python.
+
+    Each column is phase-fixed so its first entry above 1e-12 in modulus
+    is real and positive, then columns are ordered by -lam, then by the
+    (re, im) of their entries, top row first.
+    """
+    cols = []
+    for col in v.T:
+        first = np.argmax(np.abs(col) > 1e-12)
+        cols.append(col * (col[first].conj() / np.abs(col[first])))
+    order = sorted(range(len(lam)), key=lambda j: (
+        -lam[j], *[part for z in cols[j] for part in (z.real, z.imag)]))
+    return lam[order], np.stack([cols[j] for j in order], axis=1)
+
+
 class TestEigHermitian:
     def test_sigma_z(self):
         dec = eig_hermitian(SIGMA_Z)
@@ -184,6 +201,34 @@ class TestEigHermitian:
             one = eig_hermitian(stack[idx])
             assert dec.eigenvalues[idx].tobytes() == one.eigenvalues.tobytes()
             assert dec.eigenvectors[idx].tobytes() == one.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_eigenvectors_are_phase_fixed(self, n):
+        # The tie-break compares phase-fixed vectors: the first entry of each
+        # column above 1e-12 in modulus is real (to roundoff) and positive.
+        rng = np.random.default_rng(300 + n)
+        stack = np.array([random_hermitian(rng, n) for _ in range(5)])
+        for v in eig_hermitian(stack).eigenvectors:
+            first = v[np.argmax(np.abs(v) > 1e-12, axis=0), np.arange(n)]
+            assert np.all(np.abs(first.imag) < 1e-15) and np.all(first.real > 0.0)
+
+    # Diagonal stacks never rotate: their vectors stay the identity, and tied
+    # eigenvalues go highest column first. That is the order the general sort
+    # gives identity columns, kept here as reference. The solver works on
+    # (m + m^dag) / 2, a complex division that turns a -0 diagonal into +0.
+    @pytest.mark.parametrize("diagonals", [
+        [[0.0, -0.0], [-0.0, 0.0], [1.0, 1.0], [0.5, -0.5]],
+        [[0.0, -0.0, 0.5, 0.0], [0.25, 0.25, 0.25, 0.25], [-0.0, -0.0, 0.0, -0.0],
+         [0.5, -0.5, 0.5, -0.0]],
+        [[0.25, -0.0, 0.25, 0.0, -0.5, 0.0, 0.25, -0.0]],
+    ])
+    def test_unrotated_stack_keeps_the_general_order(self, diagonals):
+        diagonals = np.array(diagonals)
+        dec = eig_hermitian(np.eye(diagonals.shape[-1]) * diagonals[:, None, :])
+        for lam, got_lam, got_v in zip(diagonals, *dec):
+            ref_lam, ref_v = sort_by_vectors(lam + 0.0, np.eye(len(lam), dtype=complex))
+            assert np.array_equal(got_lam.view(np.int64), ref_lam.view(np.int64))
+            assert np.array_equal(got_v.view(np.int64), ref_v.view(np.int64))
 
     def test_stack_reports_non_convergence(self):
         rng = np.random.default_rng(7)

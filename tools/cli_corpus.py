@@ -6,8 +6,11 @@ the `--out` file. Every argv that succeeds is run twice: once to stdout and
 once with `--out`. A library section records the `repr` of every
 `measure_report` field and every `dephased` entry for 300 seeded states,
 listed as `lib measure_report #17`, `lib dephased #17`: every sweep row is
-a shared state, so the CLI bytes do not see general-state values. Dump the
-corpus on two source trees and compare:
+a shared state, so the CLI bytes do not see general-state values. It also
+records `eig_hermitian` (eigenvalues, then eigenvectors) of each state and
+of the stack of its two marginals, and `sqrt_psd` of each state: no printed
+measure shows eigenvector bits. Dump the corpus on two source trees and
+compare:
 
     python tools/cli_corpus.py dump before.jsonl --src /path/to/old/src
     python tools/cli_corpus.py dump after.jsonl
@@ -179,7 +182,14 @@ def corpus() -> list[list[str]]:
 # four lattice states (entries multiples of 1/4, so degenerate marginals
 # are common) then four Gaussian ones.
 LIB_STATES = 300
-LIB_FUNCTIONS = ("measure_report", "dephased")
+LIB_FUNCTIONS = {
+    "measure_report": lambda rindler, rho: rindler.measure_report(rho),
+    "dephased": lambda rindler, rho: rindler.dephased(rho),
+    "eig_hermitian": lambda rindler, rho: rindler.eig_hermitian(rho),
+    "eig_hermitian marginals": lambda rindler, rho: rindler.eig_hermitian(
+        np.stack([rindler.partial_trace(rho, [2, 2], t) for t in (1, 0)])),
+    "sqrt_psd": lambda rindler, rho: rindler.sqrt_psd(rho),
+}
 
 
 def lib_states() -> list:
@@ -202,10 +212,11 @@ def lib_states() -> list:
 
 def _lib_records(rindler):
     for i, rho in enumerate(lib_states()):
-        for name in LIB_FUNCTIONS:
+        for name, func in LIB_FUNCTIONS.items():
             rec = {"lib": f"{name} #{i}"}
             try:
-                values = np.ravel(getattr(rindler, name)(rho)).tolist()
+                # The fields of the result in order, each flattened.
+                values = [v for x in func(rindler, rho) for v in np.ravel(x).tolist()]
                 rec["values"] = [repr(v) for v in values]
             except Exception as exc:
                 rec["error"] = f"{type(exc).__name__}: {exc}"
