@@ -232,11 +232,9 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
 
 
 def _psd_root(dec: EigenDecomposition) -> np.ndarray:
-    # A stacked diag(root): the clipped root is +0 or more, so the
-    # off-diagonal zeros are +0 as np.diag makes them.
+    # V diag(root) V^dag: scaling the columns of V is the diagonal product.
     lam, vecs = dec
-    root = np.sqrt(np.clip(lam, 0.0, None))[..., None, :] * np.eye(lam.shape[-1])
-    return vecs @ root @ _dag(vecs)
+    return (vecs * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]) @ _dag(vecs)
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:

@@ -328,7 +328,8 @@ class TestTeleportFidelityMc:
         assert teleport_fidelity_mc(rho, 5.0) == teleport_fidelity_mc(rho, 5)
 
     # The 3000-sample cases keep their ids; the others straddle the
-    # kernel's sample blocks.
+    # kernel's sample blocks or hold a few samples, where einsum's loop
+    # order can depend on the block's shape.
     BLOCK = correlations._TELEPORT_BLOCK
     EXHAUSTIVE_CASES = [
         pytest.param(r, seed, 3000, id=f"{r}-{seed}")
@@ -337,6 +338,9 @@ class TestTeleportFidelityMc:
         pytest.param(r, seed, n, id=f"{r}-{seed}-{n}")
         for r, seed, n in [(0.3, 0, BLOCK - 1), (0.0, 7, BLOCK),
                            (np.pi / 4, 2024, BLOCK + 1), (0.3, 7, 3 * BLOCK + 17)]
+    ] + [
+        pytest.param(r, seed, n, id=f"{r}-{seed}-{n}")
+        for n in range(1, 9) for seed in (0, 7, 2024) for r in (0.0, 0.3, np.pi / 4)
     ]
 
     @pytest.mark.parametrize("r, seed, samples", EXHAUSTIVE_CASES)
@@ -349,7 +353,7 @@ class TestTeleportFidelityMc:
 
     def test_memory_holds_the_inputs_not_the_fidelities(self):
         # About 72 bytes a sample of inputs (angles and psi) plus one block's
-        # temporaries; a (4, n, 4) fidelity table would add 128 bytes a sample.
+        # temporaries; an (n, 4, 4) fidelity table would add 128 bytes a sample.
         rho = shared_state(0.3)
         tracemalloc.start()
         try:

@@ -9,8 +9,9 @@ listed as `lib measure_report #17`, `lib dephased #17`: every sweep row is
 a shared state, so the CLI bytes do not see general-state values. It also
 records `eig_hermitian` (eigenvalues, then eigenvectors) of each state and
 of the stack of its two marginals, and `sqrt_psd` of each state: no printed
-measure shows eigenvector bits. Dump the corpus on two source trees and
-compare:
+measure shows eigenvector bits. Last, `teleport_fidelity_mc` of each state,
+seeded with its index, with 1 to 6161 samples (`MC_SAMPLES`). Dump the corpus
+on two source trees and compare:
 
     python tools/cli_corpus.py dump before.jsonl --src /path/to/old/src
     python tools/cli_corpus.py dump after.jsonl
@@ -182,13 +183,19 @@ def corpus() -> list[list[str]]:
 # four lattice states (entries multiples of 1/4, so degenerate marginals
 # are common) then four Gaussian ones.
 LIB_STATES = 300
+# Monte-Carlo sample counts, cycled over the states: a few samples, and
+# counts on both sides of one and three teleport blocks of 2048.
+MC_SAMPLES = (1, 2, 3, 2047, 2048, 2049, 6161)
+# Each function takes the package, the state and its index.
 LIB_FUNCTIONS = {
-    "measure_report": lambda rindler, rho: rindler.measure_report(rho),
-    "dephased": lambda rindler, rho: rindler.dephased(rho),
-    "eig_hermitian": lambda rindler, rho: rindler.eig_hermitian(rho),
-    "eig_hermitian marginals": lambda rindler, rho: rindler.eig_hermitian(
+    "measure_report": lambda rindler, rho, i: rindler.measure_report(rho),
+    "dephased": lambda rindler, rho, i: rindler.dephased(rho),
+    "eig_hermitian": lambda rindler, rho, i: rindler.eig_hermitian(rho),
+    "eig_hermitian marginals": lambda rindler, rho, i: rindler.eig_hermitian(
         np.stack([rindler.partial_trace(rho, [2, 2], t) for t in (1, 0)])),
-    "sqrt_psd": lambda rindler, rho: rindler.sqrt_psd(rho),
+    "sqrt_psd": lambda rindler, rho, i: rindler.sqrt_psd(rho),
+    "teleport_fidelity_mc": lambda rindler, rho, i: [rindler.teleport_fidelity_mc(
+        rho, MC_SAMPLES[i % len(MC_SAMPLES)], seed=i)],
 }
 
 
@@ -216,7 +223,7 @@ def _lib_records(rindler):
             rec = {"lib": f"{name} #{i}"}
             try:
                 # The fields of the result in order, each flattened.
-                values = [v for x in func(rindler, rho) for v in np.ravel(x).tolist()]
+                values = [v for x in func(rindler, rho, i) for v in np.ravel(x).tolist()]
                 rec["values"] = [repr(v) for v in values]
             except Exception as exc:
                 rec["error"] = f"{type(exc).__name__}: {exc}"
