@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import _jacobi, is_hermitian, tensor
+from .qmat import _hermitian, _jacobi, tensor
 from .unruh import _check_angle
 
 
@@ -34,6 +34,8 @@ class KrausMap:
             if op.ndim != 2 or op.shape[0] != op.shape[1]:
                 raise ValueError(f"Kraus operator must be square, got {op.shape}")
             cleaned.append((int(sign), op))
+        if not cleaned:
+            raise ValueError("a Kraus map needs at least one term")
         dims = {op.shape[0] for _, op in cleaned}
         if len(dims) > 1:
             raise ValueError(f"mixed Kraus operator dimensions {sorted(dims)}")
@@ -61,17 +63,21 @@ class ChoiMatrix:
     doubled: bool = True
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"Choi matrix must be 4x4, got {m.shape}")
-        if not is_hermitian(m):
-            raise ValueError("Choi matrix is not Hermitian within 1e-10")
-        object.__setattr__(self, "matrix", m)
+        if np.shape(self.matrix) != (4, 4):
+            raise ValueError(f"Choi matrix must be 4x4, got {np.shape(self.matrix)}")
+        object.__setattr__(self, "matrix", _hermitian(self.matrix, "Choi matrix"))
 
     def state_normalized(self) -> "ChoiMatrix":
         if not self.doubled:
             return self
         return ChoiMatrix(self.matrix / 2.0, doubled=False)
+
+
+def _damping(keep, lose, sign: int, label: str) -> KrausMap:
+    # The operator layout of the damping maps: (+1, diag(keep, 1)), (sign, lose |1><0|).
+    k1 = np.array([[keep, 0.0], [0.0, 1.0]], dtype=complex)
+    k2 = np.array([[0.0, 0.0], [lose, 0.0]], dtype=complex)
+    return KrausMap(((1, k1), (sign, k2)), label=label)
 
 
 class CpVerdict(NamedTuple):
@@ -88,9 +94,7 @@ def unruh_kraus(r: float) -> KrausMap:
     the damping drives population toward |1> rather than |0>.
     """
     r = _check_angle(r)
-    k1 = np.array([[np.cos(r), 0.0], [0.0, 1.0]], dtype=complex)
-    k2 = np.array([[0.0, 0.0], [np.sin(r), 0.0]], dtype=complex)
-    return KrausMap(((1, k1), (1, k2)), label=f"unruh(r={r:.6g})")
+    return _damping(np.cos(r), np.sin(r), 1, f"unruh(r={r:.6g})")
 
 
 def amplitude_damping(gamma: float) -> KrausMap:
@@ -101,9 +105,7 @@ def amplitude_damping(gamma: float) -> KrausMap:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"damping strength {gamma} outside [0, 1]")
-    k1 = np.array([[np.sqrt(1.0 - gamma), 0.0], [0.0, 1.0]], dtype=complex)
-    k2 = np.array([[0.0, 0.0], [np.sqrt(gamma), 0.0]], dtype=complex)
-    return KrausMap(((1, k1), (1, k2)), label=f"ad(gamma={gamma:.6g})")
+    return _damping(np.sqrt(1.0 - gamma), np.sqrt(gamma), 1, f"ad(gamma={gamma:.6g})")
 
 
 def inverse_unruh(r: float) -> KrausMap:
@@ -115,12 +117,7 @@ def inverse_unruh(r: float) -> KrausMap:
     eigenvalue for every r > 0, so it is not completely positive.
     """
     r = _check_angle(r)
-    c = np.cos(r)
-    if c == 0.0:
-        raise ValueError("mixing angle too close to pi/2, inverse is singular")
-    k1 = np.array([[1.0 / c, 0.0], [0.0, 1.0]], dtype=complex)
-    k2 = np.array([[0.0, 0.0], [np.tan(r), 0.0]], dtype=complex)
-    return KrausMap(((1, k1), (-1, k2)), label=f"inverse-unruh(r={r:.6g})")
+    return _damping(1.0 / np.cos(r), np.tan(r), -1, f"inverse-unruh(r={r:.6g})")
 
 
 def apply(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
@@ -139,13 +136,8 @@ def apply(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
 
 def apply_to_second(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
     """Act with the map on the second qubit of a two-qubit state."""
-    rho = np.asarray(rho, dtype=complex)
-    d = 2 * kmap.dim
-    if rho.shape != (d, d):
-        raise ValueError(f"state shape {rho.shape} does not match dimension {d}")
     eye = np.eye(kmap.dim, dtype=complex)
-    bigs = [(sign, tensor(eye, op)) for sign, op in kmap.terms]
-    return sum(sign * (big @ rho @ big.conj().T) for sign, big in bigs)
+    return apply(KrausMap(tuple((s, tensor(eye, op)) for s, op in kmap.terms)), rho)
 
 
 def completeness_defect(kmap: KrausMap) -> float:

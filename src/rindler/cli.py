@@ -149,7 +149,7 @@ def cmd_channel(args) -> int:
 
 
 def cmd_geometry(args) -> int:
-    if args.r is None or not 0.0 <= args.r <= R_MAX + 1e-12:
+    if not 0.0 <= args.r <= R_MAX + 1e-12:
         return _usage(f"--r is required and must lie in [0, pi/4], got {args.r}")
     if args.n_theta < 2 or args.n_phi < 2:
         return _usage(

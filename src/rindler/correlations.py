@@ -24,6 +24,7 @@ from .qmat import (
     _entropy,
     _jacobi,
     _psd_root,
+    _whole,
     partial_trace,
 )
 
@@ -233,9 +234,7 @@ def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
     seed : generator seed; identical seeds reproduce the estimate exactly
     """
     rho, _ = _two_qubit(rho)
-    if not (np.isfinite(samples) and samples >= 1 and samples == int(samples)):
-        raise ValueError(f"samples must be a whole number >= 1, got {samples!r}")
-    samples = int(samples)
+    samples = _whole(samples, 1, "samples")
     rng = np.random.default_rng(seed)
     theta = np.arccos(1.0 - 2.0 * rng.random(samples))
     phi = 2.0 * np.pi * rng.random(samples)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import PAULIS
+from .qmat import PAULIS, _whole
 from .unruh import _check_angle
 
 
@@ -72,8 +72,7 @@ def radius_from_center(theta: float) -> float:
     Equals sqrt(3 - cos 2 theta) / (2 sqrt 2): 1/2 at the poles, 1/sqrt 2
     on the equator.
     """
-    if not 0.0 <= theta <= np.pi + 1e-12:
-        raise ValueError(f"polar angle {theta} outside [0, pi]")
+    theta = _check_sphere_angles(theta, 0.0)[0]
     return float(np.sqrt(3.0 - np.cos(2.0 * theta)) / (2.0 * np.sqrt(2.0)))
 
 
@@ -97,13 +96,11 @@ def spheroid_report(r: float, integration_steps: int = 10000) -> SpheroidReport:
     Parameters
     ----------
     r : mixing angle in [0, pi/4]
-    integration_steps : Simpson subintervals, at least 100 (odd counts
-        are rounded up to even)
+    integration_steps : Simpson subintervals, a whole number >= 100 (odd
+        counts are rounded up to even)
     """
     r = _check_angle(r)
-    steps = int(integration_steps)
-    if steps < 100:
-        raise ValueError(f"integration_steps must be >= 100, got {steps}")
+    steps = _whole(integration_steps, 100, "integration_steps")
     steps += steps % 2
     sines, weights = _simpson_nodes(steps)
 
@@ -129,11 +126,10 @@ def _grid(r: float, n_theta: int, n_phi: int):
     The operations of image_of_pure in its order, so the same bits; z from
     Python floats, as scalar ** (pow) and an array square can differ.
     """
-    if n_theta < 2 or n_phi < 2:
-        raise ValueError(f"grid counts must be >= 2, got {n_theta} x {n_phi}")
+    n_theta, n_phi = _whole(n_theta, 2, "n_theta"), _whole(n_phi, 2, "n_phi")
     r = _check_angle(r)
-    theta = np.linspace(0.0, np.pi, int(n_theta))
-    phi = np.linspace(0.0, 2.0 * np.pi, int(n_phi), endpoint=False)
+    theta = np.linspace(0.0, np.pi, n_theta)
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     radial = (np.cos(r) * np.sin(theta))[:, None]
     c2 = math.cos(2.0 * r)
     z = [c2 * math.cos(t / 2.0) ** 2 - math.sin(t / 2.0) ** 2 for t in theta.tolist()]

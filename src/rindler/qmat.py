@@ -32,8 +32,8 @@ class JacobiConvergenceError(RuntimeError):
 class EigenDecomposition(NamedTuple):
     """Spectral decomposition of a Hermitian matrix.
 
-    eigenvalues are real and sorted descending; eigenvectors is a unitary
-    matrix whose columns correspond to the eigenvalues in order.
+    eigenvalues are real, sorted descending; eigenvectors is a unitary matrix
+    whose columns follow them in order, or None from the spectrum-only solve.
     """
 
     eigenvalues: np.ndarray
@@ -44,9 +44,25 @@ def _dag(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - _dag(m))) <= tol)
+    return bool(np.max(np.abs(m - _dag(m))) <= HERMITIAN_TOL)
+
+
+def _hermitian(m: np.ndarray, name: str) -> np.ndarray:
+    # The shape and Hermiticity checks of every input matrix, or stack of them.
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not is_hermitian(m):
+        raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL}")
+    return m
+
+
+def _whole(x, least: int, what: str) -> int:
+    if not (np.isfinite(x) and x >= least and x == int(x)):
+        raise ValueError(f"{what} must be a whole number >= {least}, got {x!r}")
+    return int(x)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,12 +162,7 @@ def eig_hermitian(m: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
     JacobiConvergenceError
         If max_sweeps cyclic sweeps do not reach the threshold.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    return _jacobi(m, max_sweeps)
+    return _jacobi(_hermitian(m, "matrix"), max_sweeps)
 
 
 def _jacobi(m: np.ndarray, max_sweeps: int = 100, vectors=True) -> EigenDecomposition:
@@ -202,13 +213,8 @@ def _jacobi(m: np.ndarray, max_sweeps: int = 100, vectors=True) -> EigenDecompos
 
 
 def _checked_eig(m: np.ndarray, name: str) -> EigenDecomposition:
-    # Density-matrix checks of a matrix or a stack (errors name the first
-    # bad one); the spectrum the positivity check solves is kept.
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m):
-        raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL}")
+    # Density-matrix checks of a matrix or a stack, naming its first bad one.
+    m = _hermitian(m, name)
     tr = np.asarray(np.trace(m, axis1=-2, axis2=-1))
     bad = np.hypot(tr.real - 1.0, tr.imag) > 1e-10
     if bad.any():

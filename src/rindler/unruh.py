@@ -31,8 +31,8 @@ def cos_r(a: float, omega: float) -> float:
 
 def unruh_temperature(a: float) -> float:
     """Thermal temperature a / (2 pi) perceived at proper acceleration a."""
-    if a <= 0:
-        raise ValueError(f"acceleration must be positive, got {a}")
+    if not 0 < a < np.inf:
+        raise ValueError(f"acceleration must be positive and finite, got {a}")
     return float(a / (2.0 * np.pi))
 
 

@@ -68,6 +68,12 @@ class TestUnruhKraus:
             unruh_kraus(np.pi / 2)
 
 
+class TestKrausMap:
+    def test_rejects_empty_map(self):
+        with pytest.raises(ValueError, match="a Kraus map needs at least one term"):
+            KrausMap(())
+
+
 class TestApply:
     def test_pure_state_action_matches_display(self):
         # input with off-diagonal e^{+i phi} cos(t/2) sin(t/2); the output

@@ -151,6 +151,17 @@ class TestSpheroidReport:
         with pytest.raises(ValueError):
             spheroid_report(0.1, 50)
 
+    # A count that is not whole fails with the count's name, never truncated.
+    @pytest.mark.parametrize("steps", [100.5, 99.5, float("nan"), float("inf")])
+    def test_rejects_counts_that_are_not_whole(self, steps):
+        with pytest.raises(
+            ValueError, match="integration_steps must be a whole number >= 100"
+        ):
+            spheroid_report(0.3, steps)
+
+    def test_accepts_integral_float_steps(self):
+        assert spheroid_report(0.3, 200.0) == spheroid_report(0.3, 200)
+
     def test_golden_reports(self):
         # repr of every field for 30 angles (0, 1e-8, 0.3, pi/4 and seeded
         # random ones) at 100, 101, 1000, 10000 and 20000 steps, recorded
@@ -199,3 +210,17 @@ class TestSampleSurface:
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
             sample_surface(0.1, 1, 8)
+
+    # A grid side that is not whole fails with its name, never truncated.
+    @pytest.mark.parametrize("surface", [surface_grid, sample_surface])
+    @pytest.mark.parametrize(
+        "n_theta, n_phi, name",
+        [(2.5, 2, "n_theta"), (3, 2.5, "n_phi"), (float("nan"), 3, "n_theta"),
+         (3, float("inf"), "n_phi")],
+    )
+    def test_rejects_counts_that_are_not_whole(self, surface, n_theta, n_phi, name):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number >= 2"):
+            surface(0.3, n_theta, n_phi)
+
+    def test_accepts_integral_float_counts(self):
+        assert surface_grid(0.3, 3.0, 4.0) == surface_grid(0.3, 3, 4)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rindler.channels import ChoiMatrix
+from rindler.correlations import measure_report
 from rindler.qmat import (
     IDENTITY_2,
     JacobiConvergenceError,
@@ -331,3 +333,33 @@ class TestValidateDensityMatrix:
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
             validate_density_matrix(np.eye(3, dtype=complex) / 3)
+
+
+def _lopsided(n):
+    # The maximally mixed state with one off-diagonal entry not mirrored.
+    m = np.eye(n, dtype=complex) / n
+    m[0, 1] = 1e-3
+    return m
+
+
+# Every Hermitian-input check shares one rule; each caller names its input.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: eig_hermitian(_lopsided(2)),
+                     "matrix is not Hermitian within 1e-10", id="eig_hermitian"),
+        pytest.param(lambda: measure_report(_lopsided(4)),
+                     "rho is not Hermitian within 1e-10", id="measure_report"),
+        pytest.param(lambda: von_neumann_entropy(_lopsided(2)),
+                     "entropy input is not Hermitian within 1e-10",
+                     id="von_neumann_entropy"),
+        pytest.param(lambda: ChoiMatrix(_lopsided(4)),
+                     "Choi matrix is not Hermitian within 1e-10", id="ChoiMatrix"),
+        pytest.param(lambda: eig_hermitian(np.ones((3, 4))),
+                     "expected a square matrix, got shape (3, 4)", id="square"),
+    ],
+)
+def test_input_check_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

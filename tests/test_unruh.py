@@ -78,8 +78,9 @@ class TestUnruhTemperature:
         assert unruh_temperature(8.0) == pytest.approx(4 * unruh_temperature(2.0))
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            unruh_temperature(0.0)
+        for a in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                unruh_temperature(a)
 
 
 class TestUnruhParams:

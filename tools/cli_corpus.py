@@ -9,9 +9,12 @@ listed as `lib measure_report #17`, `lib dephased #17`: every sweep row is
 a shared state, so the CLI bytes do not see general-state values. It also
 records `eig_hermitian` (eigenvalues, then eigenvectors) of each state and
 of the stack of its two marginals, and `sqrt_psd` of each state: no printed
-measure shows eigenvector bits. Last, `teleport_fidelity_mc` of each state,
-seeded with its index, with 1 to 6161 samples (`MC_SAMPLES`). Dump the corpus
-on two source trees and compare:
+measure shows eigenvector bits. Then `teleport_fidelity_mc` of each state,
+seeded with its index, with 1 to 6161 samples (`MC_SAMPLES`). Last, the
+channel code at an angle r_i running over [0, pi/4] with the index i:
+`apply_to_second` of `unruh_kraus(r_i)` and of `inverse_unruh(r_i)` on each
+state, and the signed operators of `amplitude_damping(sin^2 r_i)`. Dump the
+corpus on two source trees and compare:
 
     python tools/cli_corpus.py dump before.jsonl --src /path/to/old/src
     python tools/cli_corpus.py dump after.jsonl
@@ -186,6 +189,13 @@ LIB_STATES = 300
 # Monte-Carlo sample counts, cycled over the states: a few samples, and
 # counts on both sides of one and three teleport blocks of 2048.
 MC_SAMPLES = (1, 2, 3, 2047, 2048, 2049, 6161)
+
+
+def _angle(i: int) -> float:
+    # The mixing angle of state i: 0 for the first state, pi/4 for the last.
+    return math.pi / 4 * i / (LIB_STATES - 1)
+
+
 # Each function takes the package, the state and its index.
 LIB_FUNCTIONS = {
     "measure_report": lambda rindler, rho, i: rindler.measure_report(rho),
@@ -196,6 +206,13 @@ LIB_FUNCTIONS = {
     "sqrt_psd": lambda rindler, rho, i: rindler.sqrt_psd(rho),
     "teleport_fidelity_mc": lambda rindler, rho, i: [rindler.teleport_fidelity_mc(
         rho, MC_SAMPLES[i % len(MC_SAMPLES)], seed=i)],
+    "apply_to_second unruh_kraus": lambda rindler, rho, i: [
+        rindler.apply_to_second(rindler.unruh_kraus(_angle(i)), rho)],
+    "apply_to_second inverse_unruh": lambda rindler, rho, i: [
+        rindler.apply_to_second(rindler.inverse_unruh(_angle(i)), rho)],
+    "amplitude_damping": lambda rindler, rho, i: [
+        x for term in rindler.amplitude_damping(math.sin(_angle(i)) ** 2).terms
+        for x in term],
 }
 
 
