@@ -203,18 +203,35 @@ def qmid(rho: np.ndarray) -> float:
 
 
 # Amplitudes A[a, b] of the Bell states sum_ab A[a, b] |ab>: (s (x) I)|Phi+>
-# for s = I, Z, X, ZX gives Phi+, Phi-, Psi+, Psi-. The kernel's factors are
-# conj(A_k)^T and conj(s_p)^T: each product with psi_a is +-psi_a/sqrt(2), +-psi_a or 0.
+# for s = I, Z, X, ZX gives Phi+, Phi-, Psi+, Psi-.
 _BELL_OUTCOMES = np.array([IDENTITY_2, SIGMA_Z, SIGMA_X, SIGMA_Z @ SIGMA_X])
 _BELL_OUTCOMES /= np.sqrt(2.0)
-_BELL_AMP = _BELL_OUTCOMES.conj().transpose(0, 2, 1).copy()
-_CORRECTIONS = np.array(_SIGMAS).conj().transpose(0, 2, 1).copy()
+# With psi psi^dag = sum_i v_i s_i / 2 and v = (1, n), correction s_p after
+# outcome k has fidelity v^T R_pk v, where R[p, k, i, j], linear in rho, is
+# tr(rho (A_k^dag s_i A_k)^T (x) s_p^dag s_j s_p) / 4. _TELEPORT_FORM maps
+# rho's entries (b, r, c, s) to the (p, k, i, j) of R.
+_TELEPORT_FORM = 0.25 * np.einsum(
+    "kibc,pjsr->pkijbrcs",
+    np.einsum("kab,iad,kdc->kibc", _BELL_OUTCOMES.conj(), _SIGMAS, _BELL_OUTCOMES),
+    np.einsum("pds,jde,per->pjsr", np.conj(_SIGMAS), _SIGMAS, _SIGMAS),
+).reshape(256, 16)
 
 
-# Samples per block of the teleport kernel, which bounds its temporaries;
-# one block's cond (256 bytes a sample) fits in L2. 2048 beat 1024 and tied 4096;
-# 8192 was slower and raised the peak RSS by 4 MB.
-_TELEPORT_BLOCK = 2048
+def _teleport_table(rho: np.ndarray, samples: int, seed) -> np.ndarray:
+    # Mean fidelity [p, k] of correction p after outcome k over the seeded
+    # Haar draws: <R_pk, M> / samples with M = sum_n v_n v_n^T.
+    rng = np.random.default_rng(seed)
+    v = np.empty((4, samples))
+    v[0] = 1.0
+    v[3] = 1.0 - 2.0 * rng.random(samples)
+    phi = 2.0 * np.pi * rng.random(samples)
+    sin_theta = np.sqrt((1.0 - v[3]) * (1.0 + v[3]))
+    v[1] = sin_theta * np.cos(phi)
+    v[2] = sin_theta * np.sin(phi)
+    # einsum's own loop, not BLAS: the sum's order does not depend on threads.
+    moments = np.einsum("in,jn->ij", v, v)
+    form = (_TELEPORT_FORM @ rho.ravel()).real.reshape(4, 4, 4, 4)
+    return np.einsum("pkij,ij->pk", form, moments) / samples
 
 
 def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
@@ -223,43 +240,22 @@ def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
     Haar-uniform pure inputs are drawn from a seeded generator, the
     sender measures in the Bell basis, and for each outcome the receiver
     applies the Pauli (or identity) correction with the highest average
-    fidelity. Rounded addition is monotone, so these per-outcome maxima,
-    summed in outcome order, are exactly the best of all 256 assignments
-    of a correction to each outcome.
+    fidelity. Each fidelity is a quadratic form v^T R_pk v in the input's
+    Bloch vector v = (1, n_x, n_y, n_z), so the mean over the draws is
+    <R_pk, M> / samples, with M the 4x4 sum of v v^T over the draws; the
+    estimate is sum_k max_p of these means. Rounded addition is monotone,
+    so the per-outcome maxima, summed in outcome order, are exactly the
+    best of all 256 assignments of a correction to each outcome.
 
     Parameters
     ----------
     rho : two-qubit resource state
     samples : number of Haar samples, a whole number (int or float) >= 1
-    seed : generator seed; identical seeds reproduce the estimate exactly
+    seed : generator seed; identical seeds reproduce the estimate bit for bit
     """
     rho, _ = _two_qubit(rho)
-    samples = _whole(samples, 1, "samples")
-    rng = np.random.default_rng(seed)
-    theta = np.arccos(1.0 - 2.0 * rng.random(samples))
-    phi = 2.0 * np.pi * rng.random(samples)
-    psi = np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
-
-    # Every operand holds the samples n on its last, contiguous axis: each inner
-    # loop runs over samples, with the products and summation order of an n-first form.
-    rho4 = rho.reshape(2, 2, 2, 2)
-    total = np.zeros((4, 4))
-    for lo in range(0, samples, _TELEPORT_BLOCK):
-        block = psi[:, lo:lo + _TELEPORT_BLOCK]
-        # fid[n, p, k]: correction p, outcome k; row 0 carries the running total.
-        fid = np.empty((1 + block.shape[1], 4, 4))
-        fid[0] = total
-        # amp[k, b, n] = <bell_k| (psi_n (x) |b>) contracted on the sender pair
-        amp = _BELL_AMP @ block
-        # cond[k, :, :, n] is the receiver's unnormalized post-measurement
-        # state; its trace is the outcome probability q_k.
-        cond = np.einsum("kbn,brcs,kcn->krsn", amp, rho4, amp.conj())
-        for p_idx, correction in enumerate(_CORRECTIONS):
-            w = correction @ block
-            fid[1:, p_idx] = np.einsum("rn,krsn,sn->nk", w.conj(), cond, w).real
-        # Rows added one after another: in sample order, not pairwise.
-        total = fid.sum(axis=0)
-    return float(sum((total / samples).max(axis=0)))
+    table = _teleport_table(rho, _whole(samples, 1, "samples"), seed)
+    return float(sum(table.max(axis=0)))
 
 
 def measure_report(rho: np.ndarray) -> MeasureReport:

@@ -227,10 +227,11 @@ def _checked_eig(m: np.ndarray, name: str) -> EigenDecomposition:
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return as complex array."""
+    """Check one matrix of dimension 2, 4 or 8 for Hermiticity, unit trace and
+    positivity; return it as a complex array."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {rho.shape}")
+    if rho.ndim != 2:
+        raise ValueError(f"{name} must be one matrix, got shape {rho.shape}")
     if rho.shape[0] not in (2, 4, 8):
         raise ValueError(f"{name} has unsupported dimension {rho.shape[0]}")
     _checked_eig(rho, name)

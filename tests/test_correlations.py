@@ -64,30 +64,58 @@ def random_x_state(rng):
     return rho
 
 
-def brute_force_teleport_fidelity(rho, samples, seed):
-    """Reference Monte-Carlo estimate: best of all 256 correction assignments."""
+# The sender's Bell states as amplitudes B[k, a, b] of sum_ab B[k, a, b] |ab>,
+# and the receiver's corrections, written out apart from the kernel's tables.
+TELEPORT_BELL = np.array(
+    [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]],
+    dtype=complex,
+) / np.sqrt(2.0)
+TELEPORT_CORRECTIONS = np.array([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
+
+
+def haar_inputs(samples, seed):
+    """The seeded Haar inputs psi[n], drawn as the estimator draws them."""
     rng = np.random.default_rng(seed)
     theta = np.arccos(1.0 - 2.0 * rng.random(samples))
     phi = 2.0 * np.pi * rng.random(samples)
-    psi = np.stack(
+    return np.stack(
         [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1
     )
-    bell = np.array(
-        [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]],
-        dtype=complex,
-    ) / np.sqrt(2.0)
-    amp = np.einsum("kab,na->nkb", bell.conj(), psi)
+
+
+def brute_force_teleport_fidelity(rho, samples, seed):
+    """Reference Monte-Carlo estimate: best of all 256 correction assignments."""
+    psi = haar_inputs(samples, seed)
+    amp = np.einsum("kab,na->nkb", TELEPORT_BELL.conj(), psi)
     cond = np.einsum("nkb,brcs,nkc->nkrs", amp, rho.reshape(2, 2, 2, 2), amp.conj())
-    corrections = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
     acc = np.empty((4, 4))
-    for p_idx, pauli in enumerate(corrections):
+    for p_idx, pauli in enumerate(TELEPORT_CORRECTIONS):
         w = psi @ pauli.conj()
         acc[:, p_idx] = np.einsum("nr,nkrs,ns->nk", w.conj(), cond, w).real.mean(axis=0)
-    best = max(
-        sum(acc[k, choice[k]] for k in range(4))
+    return float(best_assignment(acc.T))
+
+
+def best_assignment(table):
+    """Best sum, in outcome order, of table[p, k] over all 256 choices of p per k."""
+    return max(
+        sum(table[choice[k], k] for k in range(4))
         for choice in product(range(4), repeat=4)
     )
-    return float(best)
+
+
+def teleport_quartic_form(rho):
+    """T[p, k, a, b, c, d]: the fidelity of correction p after outcome k is
+    sum T psi_a conj(psi_b) psi_c conj(psi_d)."""
+    return np.einsum("kab,kec,brcs,pfr,pds->pkaedf", TELEPORT_BELL.conj(), TELEPORT_BELL,
+                     rho.reshape(2, 2, 2, 2), TELEPORT_CORRECTIONS,
+                     TELEPORT_CORRECTIONS.conj())
+
+
+def haar_teleport_table(rho):
+    """Exact Haar mean [p, k] of each fidelity, from the fourth moment
+    E[psi_a conj(psi_b) psi_c conj(psi_d)] = (d_ab d_cd + d_ad d_cb) / 6."""
+    t = teleport_quartic_form(rho)
+    return ((np.einsum("pkaacc->pk", t) + np.einsum("pkacca->pk", t)) / 6.0).real
 
 
 def x_state_concurrence(rho):
@@ -327,33 +355,69 @@ class TestTeleportFidelityMc:
         rho = shared_state(0.3)
         assert teleport_fidelity_mc(rho, 5.0) == teleport_fidelity_mc(rho, 5)
 
-    # The 3000-sample cases keep their ids; the others straddle the
-    # kernel's sample blocks or hold a few samples, where einsum's loop
-    # order can depend on the block's shape.
-    BLOCK = correlations._TELEPORT_BLOCK
+    # The 3000-sample cases keep their ids; the others straddle what were the
+    # old kernel's sample blocks of 2048, or hold a few samples.
     EXHAUSTIVE_CASES = [
         pytest.param(r, seed, 3000, id=f"{r}-{seed}")
         for seed in (0, 7, 2024) for r in (0.0, 0.3, np.pi / 4)
     ] + [
         pytest.param(r, seed, n, id=f"{r}-{seed}-{n}")
-        for r, seed, n in [(0.3, 0, BLOCK - 1), (0.0, 7, BLOCK),
-                           (np.pi / 4, 2024, BLOCK + 1), (0.3, 7, 3 * BLOCK + 17)]
+        for r, seed, n in [(0.3, 0, 2047), (0.0, 7, 2048),
+                           (np.pi / 4, 2024, 2049), (0.3, 7, 6161)]
     ] + [
         pytest.param(r, seed, n, id=f"{r}-{seed}-{n}")
         for n in range(1, 9) for seed in (0, 7, 2024) for r in (0.0, 0.3, np.pi / 4)
     ]
 
+    @staticmethod
+    def _states(r, seed):
+        rng = np.random.default_rng(seed)
+        return shared_state(r), random_two_qubit_density(rng), random_x_state(rng)
+
     @pytest.mark.parametrize("r, seed, samples", EXHAUSTIVE_CASES)
     def test_equals_exhaustive_correction_search(self, r, seed, samples):
-        rng = np.random.default_rng(seed)
-        states = (shared_state(r), random_two_qubit_density(rng), random_x_state(rng))
-        for rho in states:
+        # Bit for bit, on the kernel's own table of mean fidelities.
+        for rho in self._states(r, seed):
+            table = correlations._teleport_table(rho, samples, seed)
+            assert teleport_fidelity_mc(rho, samples, seed) == best_assignment(table)
+
+    @pytest.mark.parametrize("r, seed, samples", EXHAUSTIVE_CASES)
+    def test_matches_per_sample_reference(self, r, seed, samples):
+        # The moment contraction sums in another order than a per-sample
+        # pass; the two have differed by at most 6.2e-15.
+        for rho in self._states(r, seed):
             got = teleport_fidelity_mc(rho, samples, seed)
-            assert got == brute_force_teleport_fidelity(rho, samples, seed)
+            assert got == pytest.approx(
+                brute_force_teleport_fidelity(rho, samples, seed), abs=1e-13)
+
+    def test_haar_oracle_equals_f_max_on_shared_states(self):
+        for r in np.linspace(0.0, np.pi / 4, 201):
+            rho = shared_state(r)
+            exact = sum(haar_teleport_table(rho).max(axis=0))
+            assert exact == pytest.approx(f_max(rho), abs=1e-14)
+
+    @pytest.mark.parametrize("seed", [3, 11, 2024])
+    def test_within_five_standard_errors_of_haar_oracle(self, seed):
+        # f_max is only an upper bound on a general state; the exact Haar
+        # mean is what the estimate converges to.
+        samples = 20000
+        rho = random_two_qubit_density(np.random.default_rng(seed))
+        exact_table = haar_teleport_table(rho)
+        exact = sum(exact_table.max(axis=0))
+        assert exact <= f_max(rho) + 1e-12
+        # Spread of the per-sample fidelity under the best corrections.
+        best = exact_table.argmax(axis=0)
+        t = teleport_quartic_form(rho)[best, np.arange(4)].sum(axis=0)
+        psi = haar_inputs(samples, seed)
+        per_sample = np.einsum("abcd,na,nb,nc,nd->n", t, psi, psi.conj(), psi,
+                               psi.conj(), optimize=True).real
+        error = per_sample.std(ddof=1) / np.sqrt(samples)
+        assert abs(teleport_fidelity_mc(rho, samples, seed) - exact) < 5 * error
 
     def test_memory_holds_the_inputs_not_the_fidelities(self):
-        # About 72 bytes a sample of inputs (angles and psi) plus one block's
-        # temporaries; an (n, 4, 4) fidelity table would add 128 bytes a sample.
+        # The Bloch vectors (32 bytes a sample) plus three sample-long
+        # temporaries, 56 bytes a sample; an (n, 4, 4) fidelity table would
+        # add 128 bytes a sample.
         rho = shared_state(0.3)
         tracemalloc.start()
         try:
@@ -361,10 +425,11 @@ class TestTeleportFidelityMc:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10e6
+        assert peak < 7e6
 
     def test_golden_estimates(self):
-        # repr of each estimate, recorded before the kernel was blocked.
+        # repr of each estimate, recorded when the kernel became the
+        # second-moment contraction.
         golden = json.loads((GOLDEN / "teleport_mc.json").read_text())
         states = {
             "random": np.array([[complex(*z) for z in row]

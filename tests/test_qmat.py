@@ -334,6 +334,19 @@ class TestValidateDensityMatrix:
         with pytest.raises(ValueError):
             validate_density_matrix(np.eye(3, dtype=complex) / 3)
 
+    # One matrix, not a stack; a non-square one fails the shared shape rule.
+    @pytest.mark.parametrize("m, message", [
+        (np.stack([np.eye(4, dtype=complex) / 4] * 3),
+         "rho must be one matrix, got shape (3, 4, 4)"),
+        (np.ones(4) / 4, "rho must be one matrix, got shape (4,)"),
+        (np.ones((4, 2)) / 4, "expected a square matrix, got shape (4, 2)"),
+        (np.ones((3, 4)), "rho has unsupported dimension 3"),
+    ])
+    def test_shape_messages(self, m, message):
+        with pytest.raises(ValueError) as info:
+            validate_density_matrix(m)
+        assert str(info.value) == message
+
 
 def _lopsided(n):
     # The maximally mixed state with one off-diagonal entry not mirrored.

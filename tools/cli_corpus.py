@@ -187,7 +187,8 @@ def corpus() -> list[list[str]]:
 # are common) then four Gaussian ones.
 LIB_STATES = 300
 # Monte-Carlo sample counts, cycled over the states: a few samples, and
-# counts on both sides of one and three teleport blocks of 2048.
+# counts around 2048 and 3 x 2048 (a past kernel's block edges), kept so
+# that dumps of old and new trees compare record for record.
 MC_SAMPLES = (1, 2, 3, 2047, 2048, 2049, 6161)
 
 
