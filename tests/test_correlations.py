@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -71,6 +72,7 @@ TELEPORT_BELL = np.array(
     dtype=complex,
 ) / np.sqrt(2.0)
 TELEPORT_CORRECTIONS = np.array([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
+PAULI_VECTOR = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def haar_inputs(samples, seed):
@@ -116,6 +118,28 @@ def haar_teleport_table(rho):
     E[psi_a conj(psi_b) psi_c conj(psi_d)] = (d_ab d_cd + d_ad d_cb) / 6."""
     t = teleport_quartic_form(rho)
     return ((np.einsum("pkaacc->pk", t) + np.einsum("pkacca->pk", t)) / 6.0).real
+
+
+def entropy_bits(p):
+    p = np.clip(p, 0.0, None)
+    return -np.sum(p * np.log2(p, where=p > 0, out=np.zeros_like(p)), axis=-1)
+
+
+def mid_over_alice_bases(rho, directions):
+    """MID I(rho) - I(dephased) for each unit vector n in directions, numpy
+    alone: Alice measures along n, Bob in his marginal's eigenbasis."""
+    rho4 = rho.reshape(2, 2, 2, 2)
+    rho_a, rho_b = np.einsum("ajbj->ab", rho4), np.einsum("iaib->ab", rho4)
+    local = entropy_bits(np.linalg.eigvalsh(rho_a)) + entropy_bits(np.linalg.eigvalsh(rho_b))
+    info = local - entropy_bits(np.linalg.eigvalsh(rho))
+    alice = np.linalg.eigh(np.einsum("ni,iab->nab", directions, PAULI_VECTOR))[1]
+    bob = np.linalg.eigh(rho_b)[1]
+    basis = np.einsum("nac,bd->nabcd", alice, bob).reshape(-1, 4, 4)
+    p = np.einsum("nki,kl,nli->ni", basis.conj(), rho, basis).real
+    pairs = p.reshape(-1, 2, 2)
+    dephased_info = (entropy_bits(pairs.sum(axis=2)) + entropy_bits(pairs.sum(axis=1))
+                     - entropy_bits(p))
+    return info - dephased_info
 
 
 def x_state_concurrence(rho):
@@ -303,6 +327,27 @@ class TestQmid:
         got = measure_report(np.array([shared_state(x) for x in r])).qmid
         assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_shared_state_is_the_least_mid_over_alice_bases(self):
+        # Alice's marginal is I/2, so any basis of hers is an eigenbasis. The
+        # computational one that qmid falls back to is the basis along
+        # gamma e_B, e_B the Bloch direction of Bob's eigenbasis, and no
+        # seeded random basis of Alice's gives a smaller MID.
+        directions = np.random.default_rng(157).normal(size=(200, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        for r in np.linspace(0.0, np.pi / 4, 50):
+            rho = shared_state(r)
+            gamma = np.einsum("ab,ijba->ij", rho,
+                              np.einsum("iac,jbd->ijabcd", PAULI_VECTOR,
+                                        PAULI_VECTOR).reshape(3, 3, 4, 4)).real
+            bob = np.linalg.eigh(np.einsum("iaib->ab", rho.reshape(2, 2, 2, 2)))[1]
+            e_b = np.einsum("a,iab,b->i", bob[:, 0].conj(), PAULI_VECTOR, bob[:, 0]).real
+            along = gamma @ e_b
+            assert along[0] == along[1] == 0.0 and along[2] != 0.0
+            got = qmid(rho)
+            assert got == pytest.approx(
+                mid_over_alice_bases(rho, [along / np.linalg.norm(along)])[0], abs=1e-12)
+            assert got <= mid_over_alice_bases(rho, directions).min() + 1e-12
+
 
 class TestLocalUnitaryInvariance:
     @pytest.mark.parametrize(
@@ -355,15 +400,17 @@ class TestTeleportFidelityMc:
         rho = shared_state(0.3)
         assert teleport_fidelity_mc(rho, 5.0) == teleport_fidelity_mc(rho, 5)
 
-    # The 3000-sample cases keep their ids; the others straddle what were the
-    # old kernel's sample blocks of 2048, or hold a few samples.
+    # The 3000-sample cases keep their ids; the others straddle the kernel's
+    # sample blocks of 8192, or what were an older kernel's blocks of 2048,
+    # or hold a few samples.
     EXHAUSTIVE_CASES = [
         pytest.param(r, seed, 3000, id=f"{r}-{seed}")
         for seed in (0, 7, 2024) for r in (0.0, 0.3, np.pi / 4)
     ] + [
         pytest.param(r, seed, n, id=f"{r}-{seed}-{n}")
         for r, seed, n in [(0.3, 0, 2047), (0.0, 7, 2048),
-                           (np.pi / 4, 2024, 2049), (0.3, 7, 6161)]
+                           (np.pi / 4, 2024, 2049), (0.3, 7, 6161),
+                           (0.3, 0, 8191), (0.0, 7, 8192), (np.pi / 4, 2024, 8193)]
     ] + [
         pytest.param(r, seed, n, id=f"{r}-{seed}-{n}")
         for n in range(1, 9) for seed in (0, 7, 2024) for r in (0.0, 0.3, np.pi / 4)
@@ -415,21 +462,41 @@ class TestTeleportFidelityMc:
         assert abs(teleport_fidelity_mc(rho, samples, seed) - exact) < 5 * error
 
     def test_memory_holds_the_inputs_not_the_fidelities(self):
-        # The Bloch vectors (32 bytes a sample) plus three sample-long
-        # temporaries, 56 bytes a sample; an (n, 4, 4) fidelity table would
-        # add 128 bytes a sample.
+        # The two rows of uniform draws, 16 bytes a sample (1.6 MB), plus one
+        # block's temporaries, about 1.3 MB however many samples; a (4, n)
+        # array of Bloch vectors would add 3.2 MB, and an (n, 4, 4) fidelity
+        # table 12.8 MB. The first call is not traced: it imports modules.
         rho = shared_state(0.3)
+        teleport_fidelity_mc(rho, 1, 1)
         tracemalloc.start()
         try:
             teleport_fidelity_mc(rho, 100000, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7e6
+        assert peak < 4e6
+
+    def test_cos_sin_turn(self):
+        # The table-plus-polynomial cos and sin of 2 pi u on seeded draws, at
+        # every table node and its neighbours, and at the quarter turns.
+        turns = correlations._TURNS
+        nodes = np.arange(turns) / turns
+        u = np.concatenate([np.random.default_rng(29).random(10**6), nodes,
+                            np.nextafter(nodes, 1.0), np.nextafter(nodes[1:], -1.0),
+                            [0.25, 0.5, 0.75, 1.0 - 2.0**-53]])
+        c, s = correlations._cos_sin_turn(u)
+        assert np.abs(c - np.cos(2.0 * np.pi * u)).max() <= 1.5e-15
+        assert np.abs(s - np.sin(2.0 * np.pi * u)).max() <= 1.5e-15
+        assert np.abs(c * c + s * s - 1.0).max() <= 2 * np.finfo(float).eps
+        # At a node the value is libm's, bit for bit.
+        angles = (2.0 * np.pi / turns * np.arange(turns)).tolist()
+        at_nodes = correlations._cos_sin_turn(nodes)
+        assert at_nodes[0].tolist() == list(map(math.cos, angles))
+        assert at_nodes[1].tolist() == list(map(math.sin, angles))
 
     def test_golden_estimates(self):
-        # repr of each estimate, recorded when the kernel became the
-        # second-moment contraction.
+        # repr of each estimate, recorded when the kernel took cos and sin of
+        # phi from a table and a polynomial, in blocks of samples.
         golden = json.loads((GOLDEN / "teleport_mc.json").read_text())
         states = {
             "random": np.array([[complex(*z) for z in row]

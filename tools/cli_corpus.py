@@ -10,7 +10,7 @@ a shared state, so the CLI bytes do not see general-state values. It also
 records `eig_hermitian` (eigenvalues, then eigenvectors) of each state and
 of the stack of its two marginals, and `sqrt_psd` of each state: no printed
 measure shows eigenvector bits. Then `teleport_fidelity_mc` of each state,
-seeded with its index, with 1 to 6161 samples (`MC_SAMPLES`). Last, the
+seeded with its index, with 1 to 10^5 samples (`MC_SAMPLES`). Last, the
 channel code at an angle r_i running over [0, pi/4] with the index i:
 `apply_to_second` of `unruh_kraus(r_i)` and of `inverse_unruh(r_i)` on each
 state, and the signed operators of `amplitude_damping(sin^2 r_i)`. Dump the
@@ -186,10 +186,11 @@ def corpus() -> list[list[str]]:
 # four lattice states (entries multiples of 1/4, so degenerate marginals
 # are common) then four Gaussian ones.
 LIB_STATES = 300
-# Monte-Carlo sample counts, cycled over the states: a few samples, and
-# counts around 2048 and 3 x 2048 (a past kernel's block edges), kept so
-# that dumps of old and new trees compare record for record.
-MC_SAMPLES = (1, 2, 3, 2047, 2048, 2049, 6161)
+# Monte-Carlo sample counts, cycled over the states: a few samples, counts
+# around 2048 and 3 x 2048 (a past kernel's block edges), around the
+# kernel's block of 8192 samples, and 10^5 samples (13 blocks, the last
+# partial), so that dumps of old and new trees compare record for record.
+MC_SAMPLES = (1, 2, 3, 2047, 2048, 2049, 6161, 8191, 8192, 8193, 100000)
 
 
 def _angle(i: int) -> float:
