@@ -200,5 +200,5 @@ def is_cp(choi: ChoiMatrix) -> CpVerdict:
     The reported eigenvalues are in the normalization of the input (doubled
     or state form).
     """
-    lam = _jacobi(choi.matrix).eigenvalues
+    lam = _jacobi(choi.matrix, vectors=False).eigenvalues
     return CpVerdict(bool(lam[-1] >= -_roundoff(lam)), float(lam[-1]), lam)

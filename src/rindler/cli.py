@@ -47,6 +47,36 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+# _split_12g's integer-path prefixes at 5 * sign + z: "0." and z zeros, or z = 4: 0.
+_PREFIXES = ("0.", "0.0", "0.00", "0.000", "", "-0.", "-0.0", "-0.00", "-0.000", "-")
+
+
+def _split_12g(x):
+    """1-D finite x as lists (prefixes, ints): prefix + '%d' % int == '%.12g' % x.
+
+    In [1e-4, 1): "0.", z zeros, rint(s) for s = |x| 10^(12+z). s rounds once and
+    monotonically, and each k + 0.5 below 2^40 is a float: rint(s) is exact unless
+    s is a tie. Ties, |x| >= 1 and exponent forms are split from their own text.
+    """
+    a = np.minimum(np.abs(x), 1.0)  # 1 or more: m = 1e12 at z = 0, never fast
+    z = (a < 0.1).astype(np.intp) + (a < 0.01) + (a < 0.001)
+    s = a * np.array([1e12, 1e13, 1e14, 1e15])[z]
+    m = np.rint(s)
+    top = m == 1e12  # rounds up to 10^-z: z - 1 zeros and 1; "1" itself at z = 0
+    fast = (s >= 1e11) & (np.abs(s - m) < 0.5) & (z >= top)
+    for p in (1e8, 1e4, 1e2, 1e1):  # strip trailing zeros; m / p is exact if whole
+        q = m / p
+        m = np.where(q == np.floor(q), q, m)
+    ints = m.astype(np.int64)
+    idx = np.where(x == 0.0, 4, z - top) + 5 * np.signbit(x)
+    rest = np.flatnonzero(~fast & (x != 0.0))
+    texts = ("%.12g," * rest.size % tuple(x[rest].tolist())).split(",")[:-1]
+    ints[rest] = [int(t[-1]) for t in texts]
+    idx[rest] = np.arange(len(_PREFIXES), len(_PREFIXES) + rest.size)
+    prefixes = np.array([*_PREFIXES, *(t[:-1] for t in texts)], dtype=object)
+    return prefixes[idx].tolist(), ints.tolist()
+
+
 def _fmt_complex(z: complex) -> str:
     if z.imag == 0.0:
         return _fmt(z.real)
@@ -159,13 +189,15 @@ def cmd_geometry(args) -> int:
         return _usage(f"--steps must be >= 100 for the quadrature, got {args.steps}")
 
     # theta, phi and z repeat across the grid, so each is formatted once into
-    # one %-template for the whole grid, which x and y then fill.
+    # one %-template for the whole text, which x and y then fill as %s%d. The
+    # rows are built as the template is joined, after the split of x and y.
     theta, phi, x, y, z = _grid(args.r, args.n_theta, args.n_phi)
-    parts = [f",{p},%.12g,%.12g," for p in map(_fmt, phi.tolist())]
-    rows = [t + (zt + "\n" + t).join(parts) + zt
-            for t, zt in zip(map(_fmt, theta.tolist()), map(_fmt, z.tolist()))]
-    xy = tuple(np.stack([x, y], -1).ravel().tolist())
-    _emit("theta,phi,x,y,z\n" + "\n".join(rows) % xy + "\n", args.out)
+    parts = [f",{p},%s%d,%s%d," for p in map(_fmt, phi.tolist())]
+    rows = (t + (zt + "\n" + t).join(parts) + zt
+            for t, zt in zip(map(_fmt, theta.tolist()), map(_fmt, z.tolist())))
+    xy = [None] * (2 * (x.size + y.size))
+    xy[0::2], xy[1::2] = _split_12g(np.stack([x, y], -1).ravel())
+    _emit("\n".join(["theta,phi,x,y,z", *rows, ""]) % tuple(xy), args.out)
 
     # The summary keys are the SpheroidReport field names.
     rep = spheroid_report(args.r, args.steps)

@@ -10,7 +10,6 @@ suite against direct channel application.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -105,10 +104,10 @@ def spheroid_report(r: float, integration_steps: int = 10000) -> SpheroidReport:
     sines, weights = _simpson_nodes(steps)
 
     # Cross-section area pi (c sin t)^2 times |dz/dt| = |-(c^2) sin t|, c = cos r.
-    # The square is Python pow on floats, as an array square can differ from
-    # it in the last bit; the products and abs round alike on arrays.
+    # float_power calls libm pow per value, so its square has Python pow's
+    # bits, which x * x and np.power can miss in the last bit.
     c = math.cos(r)
-    squares = np.fromiter(map(pow, (c * sines).tolist(), itertools.repeat(2.0)), float)
+    squares = np.float_power(c * sines, 2.0)
     integrand = (math.pi * squares) * np.abs(-(c**2) * sines)
     volume = float(np.pi / steps / 3.0 * np.dot(weights, integrand))
     fraction = volume / (4.0 * np.pi / 3.0)

@@ -357,6 +357,38 @@ class TestGeometry:
         assert main(argv + ["99"]) == 2
         capsys.readouterr()
 
+    def test_split_12g_rebuilds_the_12g_text(self):
+        # prefix + '%d' % int is '%.12g' % x: checked on 10^6 seeded doubles of
+        # both signs and their nextafter neighbours. Magnitudes in [1e-4, 1) take
+        # the integer path, ties (k + 0.5) / 10^m and values that round up to
+        # 1, 0.1, 0.01, 0.001 its edges; the rest (random bits, subnormals,
+        # powers of ten, +-0) print from their own text.
+        rng = np.random.default_rng(1812)
+
+        def signed(x):
+            return x * rng.choice([-1.0, 1.0], size=len(x))
+
+        digits = np.repeat([12, 13, 14, 15], 25_000)
+        edges = np.concatenate([
+            (rng.integers(10**11, 10**12, 100_000) + 0.5) / 10.0 ** digits,
+            10.0 ** -rng.integers(0, 4, 20_000) * (1.0 - rng.uniform(0, 1e-12, 20_000)),
+            10.0 ** np.arange(-323, 309),
+        ])
+        x = np.concatenate([
+            signed(10.0 ** rng.uniform(-4, 0, 450_000)),
+            np.frombuffer(rng.bytes(8 * 100_000), dtype=np.float64),
+            signed(rng.normal(size=100_000) * 10.0 ** rng.integers(-20, 20, 100_000)),
+            signed(rng.integers(1, 2**52, 20_000).view(np.float64)),
+            [0.0, -0.0, 1.0, -1.0, 1e-4, 5e-324, np.finfo(float).max, 1.0 - 2.0**-53],
+            signed(edges), *(signed(np.nextafter(edges, to)) for to in (-np.inf, np.inf)),
+        ])
+        x = x[np.isfinite(x)]
+        assert len(x) >= 10**6
+        prefixes, ints = cli._split_12g(x)
+        values = tuple(x.tolist())
+        want = ("%.12g," * len(values) % values).split(",")[:-1]
+        assert [p + "%d" % i for p, i in zip(prefixes, ints)] == want
+
     def test_unwritable_path_is_io_error(self, capsys):
         rc = main(["geometry", "--r", "0.1", "--n-theta", "3",
                    "--out", "/no/such/dir/p.csv"])
@@ -424,6 +456,8 @@ GEOMETRY_GRIDS = {
     "geometry_r0_2x2": ["geometry", "--r", "0", "--n-theta", "2", "--n-phi", "2"],
     # Few, long theta rows.
     "geometry_r0.3_2x61": ["geometry", "--r", "0.3", "--n-theta", "2", "--n-phi", "61"],
+    # x and y print as 1, -1, 0, -0, 12-digit fractions and exponent forms.
+    "geometry_r0_5x8": ["geometry", "--r", "0", "--n-theta", "5", "--n-phi", "8"],
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,25 @@ class TestSpheroidReport:
         assert spheroid_report(0.3, 101) == spheroid_report(0.3, 102)
         info = geometry._simpson_nodes.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_float_power_squares_are_python_pow():
+    # spheroid_report and shared_state square with np.float_power, which
+    # calls libm pow per value and so has the bits of Python's pow. A numpy
+    # whose float_power squares by an array loop fails here: on these 10^6
+    # values, the Simpson-node squares among them, x * x misses pow's bits.
+    rng = np.random.default_rng(1981)
+    sines, _ = geometry._simpson_nodes(20000)
+    angles = [0.0, 1e-8, 0.3, np.pi / 4, *rng.uniform(0.0, np.pi / 4, 46)]
+    x = np.concatenate([
+        *(math.cos(r) * sines for r in angles),
+        np.sin(rng.uniform(0.0, np.pi / 4, 100_000)),
+        rng.normal(size=100_000) * 10.0 ** rng.integers(-150, 150, 100_000),
+    ])
+    assert len(x) >= 10**6
+    want = np.array([pow(v, 2.0) for v in x.tolist()])
+    assert np.float_power(x, 2.0).tobytes() == want.tobytes()
+    assert (x * x != want).any()
 
 
 class TestSampleSurface:

@@ -27,7 +27,7 @@ The corpus covers sweep (csv/json x log/linear, 2 to 2000 rows, omega
 0.005 to 20, a ratios up to 1e6), all channel modes at r = 0, 1e-6, 1e-3,
 pi/4, at random r and at random --a/--omega, kraus and invert on both sides
 of the angle where the Choi roundoff floor is cleared, geometry grids from
-2x2 to 200x200, and usage and I/O errors.
+2x2 to 200x200 (199x200 at r = 0 and pi/4), and usage and I/O errors.
 """
 
 from __future__ import annotations
@@ -177,6 +177,10 @@ def corpus() -> list[list[str]]:
             "--n-theta", str(n_theta), "--n-phi", str(n_phi),
             "--steps", str(grid_rng.randint(100, 20000)),
         ])
+    # Large grids at the two end angles, where x and y take every form of
+    # '%.12g' text: 0 and -0, 1 and -1, exponents, and 12-digit values.
+    cases += [["geometry", "--r", r, "--n-theta", "199", "--n-phi", "200"]
+              for r in ("0", repr(math.pi / 4))]
     cases += [["channel", "--r", r, "--mode", mode]
               for mode in ("kraus", "invert") for r in FLOOR_ANGLES]
     return cases + USAGE_ERRORS
