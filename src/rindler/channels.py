@@ -23,7 +23,6 @@ class KrausMap:
     """Signed operator-sum representation of a Hermitian qubit map."""
 
     terms: tuple
-    label: str = ""
 
     def __post_init__(self):
         cleaned = []
@@ -52,32 +51,21 @@ class KrausMap:
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """4x4 dual matrix of a qubit map.
-
-    doubled=True means the sum_{jk} |j><k| (x) E(|j><k|) convention with
-    trace 2 for a trace-preserving map; doubled=False carries the extra
-    factor 1/2 so the matrix is itself a unit-trace state.
-    """
+    """4x4 dual matrix of a qubit map, with trace 1 for a trace-preserving map."""
 
     matrix: np.ndarray
-    doubled: bool = True
 
     def __post_init__(self):
         if np.shape(self.matrix) != (4, 4):
             raise ValueError(f"Choi matrix must be 4x4, got {np.shape(self.matrix)}")
         object.__setattr__(self, "matrix", _hermitian(self.matrix, "Choi matrix"))
 
-    def state_normalized(self) -> "ChoiMatrix":
-        if not self.doubled:
-            return self
-        return ChoiMatrix(self.matrix / 2.0, doubled=False)
 
-
-def _damping(keep, lose, sign: int, label: str) -> KrausMap:
+def _damping(keep, lose, sign: int) -> KrausMap:
     # The operator layout of the damping maps: (+1, diag(keep, 1)), (sign, lose |1><0|).
     k1 = np.array([[keep, 0.0], [0.0, 1.0]], dtype=complex)
     k2 = np.array([[0.0, 0.0], [lose, 0.0]], dtype=complex)
-    return KrausMap(((1, k1), (sign, k2)), label=label)
+    return KrausMap(((1, k1), (sign, k2)))
 
 
 class CpVerdict(NamedTuple):
@@ -94,7 +82,7 @@ def unruh_kraus(r: float) -> KrausMap:
     the damping drives population toward |1> rather than |0>.
     """
     r = _check_angle(r)
-    return _damping(np.cos(r), np.sin(r), 1, f"unruh(r={r:.6g})")
+    return _damping(np.cos(r), np.sin(r), 1)
 
 
 def amplitude_damping(gamma: float) -> KrausMap:
@@ -105,7 +93,7 @@ def amplitude_damping(gamma: float) -> KrausMap:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"damping strength {gamma} outside [0, 1]")
-    return _damping(np.sqrt(1.0 - gamma), np.sqrt(gamma), 1, f"ad(gamma={gamma:.6g})")
+    return _damping(np.sqrt(1.0 - gamma), np.sqrt(gamma), 1)
 
 
 def inverse_unruh(r: float) -> KrausMap:
@@ -117,7 +105,7 @@ def inverse_unruh(r: float) -> KrausMap:
     eigenvalue for every r > 0, so it is not completely positive.
     """
     r = _check_angle(r)
-    return _damping(1.0 / np.cos(r), np.tan(r), -1, f"inverse-unruh(r={r:.6g})")
+    return _damping(1.0 / np.cos(r), np.tan(r), -1)
 
 
 def apply(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
@@ -151,11 +139,11 @@ def compose(outer: KrausMap, inner: KrausMap) -> KrausMap:
     if outer.dim != inner.dim:
         raise ValueError(f"dimension mismatch {outer.dim} vs {inner.dim}")
     terms = [(so * si, ko @ ki) for so, ko in outer.terms for si, ki in inner.terms]
-    return KrausMap(tuple(terms), label=f"{outer.label}*{inner.label}")
+    return KrausMap(tuple(terms))
 
 
-def choi_matrix(kmap: KrausMap, doubled: bool = True) -> ChoiMatrix:
-    """Dual matrix sum_{jk} |j><k| (x) E(|j><k|) of a qubit map."""
+def choi_matrix(kmap: KrausMap) -> ChoiMatrix:
+    """Dual matrix sum_{jk} |j><k| (x) E(|j><k|) / 2 of a qubit map."""
     if kmap.dim != 2:
         raise ValueError(f"Choi construction expects a qubit map, dim {kmap.dim}")
     # sum_k sign_k vec(K_k) vec(K_k)^dag, vec column-major as in kraus_from_choi.
@@ -163,7 +151,7 @@ def choi_matrix(kmap: KrausMap, doubled: bool = True) -> ChoiMatrix:
     for sign, op in kmap.terms:
         v = op.reshape(4, order="F")
         m += sign * np.outer(v, v.conj())
-    return ChoiMatrix(m if doubled else m / 2.0, doubled)
+    return ChoiMatrix(m / 2.0)
 
 
 def _roundoff(lam: np.ndarray) -> float:
@@ -175,13 +163,13 @@ def _roundoff(lam: np.ndarray) -> float:
 def kraus_from_choi(choi: ChoiMatrix) -> KrausMap:
     """Recover a signed operator-sum form from a Choi matrix.
 
+    The solve runs on twice the trace-1 matrix, sum_k s_k vec(K_k) vec(K_k)^dag.
     Each eigenvector whose |eigenvalue| clears the roundoff floor
     4 eps max|eigenvalue| is scaled to norm sqrt(|eigenvalue|) and folded
     column-major, (v0,v1,v2,v3) becoming [[v0, v2], [v1, v3]]; the
     eigenvalue's sign becomes the term sign.
     """
-    m = choi.matrix if choi.doubled else 2.0 * choi.matrix
-    dec = _jacobi(m)
+    dec = _jacobi(2.0 * choi.matrix)
     floor = _roundoff(dec.eigenvalues)
     terms = []
     for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
@@ -190,15 +178,13 @@ def kraus_from_choi(choi: ChoiMatrix) -> KrausMap:
         scaled = np.sqrt(abs(lam)) * vec
         op = scaled.reshape(2, 2, order="F")
         terms.append((1 if lam > 0 else -1, op))
-    return KrausMap(tuple(terms), label="from-choi")
+    return KrausMap(tuple(terms))
 
 
 def is_cp(choi: ChoiMatrix) -> CpVerdict:
     """Complete positivity test: no Choi eigenvalue below -4 eps max|eigenvalue|.
 
     kraus_from_choi drops the eigenvalues within this roundoff floor of zero.
-    The reported eigenvalues are in the normalization of the input (doubled
-    or state form).
     """
     lam = _jacobi(choi.matrix, vectors=False).eigenvalues
     return CpVerdict(bool(lam[-1] >= -_roundoff(lam)), float(lam[-1]), lam)

@@ -156,7 +156,7 @@ def cmd_channel(args) -> int:
 
     lines = [f"mixing angle r = {_fmt(r)}"]
     if args.mode == "choi":
-        choi = choi_matrix(unruh_kraus(r), doubled=False)
+        choi = choi_matrix(unruh_kraus(r))
         lines.append("choi matrix (state normalization, trace 1):")
         lines += _matrix_lines(choi.matrix)
     elif args.mode == "kraus":
@@ -167,7 +167,7 @@ def cmd_channel(args) -> int:
     else:
         inv = inverse_unruh(r)
         lines += ["inverse map operators:", *_term_lines(inv)]
-        verdict = is_cp(choi_matrix(inv, doubled=False))
+        verdict = is_cp(choi_matrix(inv))
         lines.append(
             "choi eigenvalues (state normalization): "
             + ", ".join(_fmt(x) for x in verdict.eigenvalues)

@@ -16,6 +16,7 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 PSD_TOL = -1e-10
 _TINY = np.finfo(float).tiny
+_MAX_SWEEPS = 100
 _eye = functools.cache(lambda n: np.broadcast_to(np.eye(n, dtype=complex), (n, n)))
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -145,7 +146,7 @@ def _rotate(a: np.ndarray, v, live, p: int, q: int, eye) -> None:
         v[live] = v[live] @ j
 
 
-def eig_hermitian(m: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
+def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
     Cyclic Jacobi rotations, deterministic by construction: fixed sweep
@@ -160,12 +161,12 @@ def eig_hermitian(m: np.ndarray, max_sweeps: int = 100) -> EigenDecomposition:
     ValueError
         If the input is not Hermitian within tolerance.
     JacobiConvergenceError
-        If max_sweeps cyclic sweeps do not reach the threshold.
+        If 100 cyclic sweeps do not reach the threshold.
     """
-    return _jacobi(_hermitian(m, "matrix"), max_sweeps)
+    return _jacobi(_hermitian(m, "matrix"))
 
 
-def _jacobi(m: np.ndarray, max_sweeps: int = 100, vectors=True) -> EigenDecomposition:
+def _jacobi(m: np.ndarray, vectors=True) -> EigenDecomposition:
     # eig_hermitian without its checks, for a matrix already checked or
     # Hermitian by construction (gamma^T gamma arrives real, hence the cast).
     # vectors=False runs the same rotations, which depend on a alone, and no more.
@@ -179,7 +180,7 @@ def _jacobi(m: np.ndarray, max_sweeps: int = 100, vectors=True) -> EigenDecompos
     # tiny |g|; t is then 0, its limit, and the rotation absorbs g's phase.
     with np.errstate(over="ignore"):
         live = rotating = _unconverged(a, slice(None))
-        for _ in range(max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             if live is None:
                 break
             for p in range(n - 1):
@@ -188,7 +189,7 @@ def _jacobi(m: np.ndarray, max_sweeps: int = 100, vectors=True) -> EigenDecompos
             live = _unconverged(a, live)
     if live is not None:
         raise JacobiConvergenceError(
-            f"no convergence after {max_sweeps} sweeps on dimension {n}"
+            f"no convergence after {_MAX_SWEEPS} sweeps on dimension {n}"
         )
 
     lam = a.diagonal(axis1=-2, axis2=-1).real

@@ -1,8 +1,9 @@
 """Acceleration-induced mode mixing for a single Dirac mode.
 
 Natural units throughout (hbar = c = k_B = 1). The mixing angle r sits
-in [0, pi/4): r = 0 is an observer at rest, r -> pi/4 is the infinite
-acceleration limit where cos^2 r -> 1/2.
+in [0, pi/4], with 1e-12 of roundoff allowed above pi/4: r = 0 is an
+observer at rest, r = pi/4 is the infinite acceleration limit where
+cos^2 r = 1/2.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ def cos_r(a: float, omega: float) -> float:
         raise ValueError(f"acceleration must be positive and finite, got {a}")
     if not 0 < omega < np.inf:
         raise ValueError(f"mode frequency must be positive and finite, got {omega}")
-    c = 1.0 / np.sqrt(np.exp(-2.0 * np.pi * omega / a) + 1.0)
+    # omega / a overflows to inf for a tiny a; exp(-inf) = 0 gives c = 1, its limit.
+    with np.errstate(over="ignore"):
+        c = 1.0 / np.sqrt(np.exp(-2.0 * np.pi * omega / a) + 1.0)
     return c if np.ndim(c) else float(c)
 
 

@@ -130,7 +130,7 @@ def test_criterion_6_inverse_map():
             assert np.max(np.abs(restored - rho)) < 1e-9
         for r in R_GRID:
             lam = eig_hermitian(
-                choi_matrix(inverse_unruh(r), doubled=False).matrix
+                choi_matrix(inverse_unruh(r)).matrix
             ).eigenvalues
             want = np.array([
                 (3.0 + np.cos(2 * r)) / (4.0 * np.cos(r) ** 2),

@@ -38,7 +38,7 @@ def random_cptp_map(rng, n_terms=4):
     g = rng.normal(size=(2 * n_terms, 2)) + 1j * rng.normal(size=(2 * n_terms, 2))
     q, _ = np.linalg.qr(g)
     terms = tuple((1, q[2 * i: 2 * i + 2, :]) for i in range(n_terms))
-    return KrausMap(terms, label="random-cptp")
+    return KrausMap(terms)
 
 
 class TestUnruhKraus:
@@ -121,7 +121,7 @@ class TestApply:
 
 class TestApplyToSecond:
     def test_identity_map(self):
-        ident = KrausMap(((1, np.eye(2)),), label="id")
+        ident = KrausMap(((1, np.eye(2)),))
         assert_allclose(apply_to_second(ident, BELL_PROJECTOR), BELL_PROJECTOR)
 
     def test_channel_on_half_pair_gives_shared_state(self):
@@ -137,10 +137,8 @@ class TestApplyToSecond:
 
 class TestChoiMatrix:
     def test_identity_channel(self):
-        ident = KrausMap(((1, np.eye(2)),), label="id")
-        choi = choi_matrix(ident)
-        assert choi.doubled
-        assert_allclose(choi.matrix, 2 * BELL_PROJECTOR, atol=1e-14)
+        ident = KrausMap(((1, np.eye(2)),))
+        assert_allclose(choi_matrix(ident).matrix, BELL_PROJECTOR, atol=1e-14)
 
     def test_unruh_matrix_entries(self):
         for r in (0.2, np.pi / 4):
@@ -148,20 +146,18 @@ class TestChoiMatrix:
             want = np.zeros((4, 4))
             want[0, 0], want[0, 3], want[3, 0] = c * c, c, c
             want[1, 1], want[3, 3] = s * s, 1.0
-            assert_allclose(choi_matrix(unruh_kraus(r)).matrix, want, atol=1e-14)
-            half = choi_matrix(unruh_kraus(r), doubled=False).matrix
-            assert_allclose(half, want / 2, atol=1e-14)
+            assert_allclose(choi_matrix(unruh_kraus(r)).matrix, want / 2, atol=1e-14)
 
-    def test_doubled_trace_is_two(self):
+    def test_trace_is_one(self):
         for r in R_GRID[::7]:
             assert np.trace(choi_matrix(unruh_kraus(r)).matrix).real == (
-                pytest.approx(2.0, abs=1e-12)
+                pytest.approx(1.0, abs=1e-12)
             )
 
     def test_unruh_spectrum(self):
         for r in R_GRID[::7]:
             lam = eig_hermitian(choi_matrix(unruh_kraus(r)).matrix).eigenvalues
-            want = [1 + np.cos(r) ** 2, np.sin(r) ** 2, 0.0, 0.0]
+            want = [(1 + np.cos(r) ** 2) / 2, np.sin(r) ** 2 / 2, 0.0, 0.0]
             assert_allclose(lam, sorted(want, reverse=True), atol=1e-12)
 
     def test_rejects_non_hermitian(self):
@@ -171,7 +167,7 @@ class TestChoiMatrix:
 
 class TestKrausFromChoi:
     def test_identity(self):
-        ident = KrausMap(((1, np.eye(2)),), label="id")
+        ident = KrausMap(((1, np.eye(2)),))
         got = kraus_from_choi(choi_matrix(ident))
         assert len(got.terms) == 1
         sign, op = got.terms[0]
@@ -202,11 +198,6 @@ class TestKrausFromChoi:
                         np.abs(apply(recovered, ejk) - apply(original, ejk))
                     ) < 1e-9
 
-    def test_state_normalized_input_rescales(self):
-        choi = choi_matrix(unruh_kraus(0.3), doubled=False)
-        got = kraus_from_choi(choi)
-        assert completeness_defect(got) < 1e-10
-
 
 class TestIsCp:
     def test_unruh_is_cp(self):
@@ -216,13 +207,13 @@ class TestIsCp:
             assert verdict.min_eigenvalue >= -1e-10
 
     def test_inverse_is_ncp_with_known_eigenvalue(self):
-        choi = choi_matrix(inverse_unruh(np.pi / 6), doubled=False)
+        choi = choi_matrix(inverse_unruh(np.pi / 6))
         verdict = is_cp(choi)
         assert not verdict.is_cp
         assert verdict.min_eigenvalue == pytest.approx(-1 / 6, abs=1e-12)
 
     def test_identity_is_cp(self):
-        ident = KrausMap(((1, np.eye(2)),), label="id")
+        ident = KrausMap(((1, np.eye(2)),))
         verdict = is_cp(choi_matrix(ident))
         assert verdict.is_cp
         assert verdict.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
@@ -301,7 +292,7 @@ class TestCompose:
                 assert_allclose(apply(cancel, rho), rho, atol=1e-10)
 
     def test_dimension_mismatch(self):
-        big = KrausMap(((1, np.eye(4)),), label="id4")
+        big = KrausMap(((1, np.eye(4)),))
         with pytest.raises(ValueError):
             compose(big, unruh_kraus(0.1))
 
@@ -344,13 +335,13 @@ class TestInverseUnruh:
     def test_half_pair_output_equals_state_normalized_choi(self):
         for r in R_GRID[::7]:
             out = apply_to_second(inverse_unruh(r), BELL_PROJECTOR)
-            half = choi_matrix(inverse_unruh(r), doubled=False).matrix
+            half = choi_matrix(inverse_unruh(r)).matrix
             assert_allclose(out, half, atol=1e-12)
 
     def test_choi_spectrum_closed_form(self):
         for r in R_GRID[1:]:
             lam = eig_hermitian(
-                choi_matrix(inverse_unruh(r), doubled=False).matrix
+                choi_matrix(inverse_unruh(r)).matrix
             ).eigenvalues
             big = (3 + np.cos(2 * r)) / (4 * np.cos(r) ** 2)
             want = np.array([big, 0.0, 0.0, -np.tan(r) ** 2 / 2])

@@ -117,6 +117,13 @@ class TestSweep:
         assert lines[1] == SWEEP_HEADER
         assert len(lines) == 5
 
+    def test_subnormal_accelerations_write_no_warning(self, capsys):
+        assert main(["sweep", "--steps", "3", "--a-min", "1e-320",
+                     "--a-max", "1e-310"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [line.split(",")[1] for line in out.splitlines()[2:]] == ["0"] * 3
+
     def test_linear_scale(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main([
@@ -424,6 +431,14 @@ GOLDEN_CASES = {
             ["channel", "--a", "4.6", "--omega", "0.1", "--mode", mode]
         for mode in ("choi", "kraus", "invert")
     },
+    # Angles where sin^2 r and tan^2 r / 2 are subnormal, so halving or
+    # doubling the Choi matrix is not exact: they pin its normalization.
+    **{
+        f"channel_{mode}_r5e-324.txt": ["channel", "--r", "5e-324", "--mode", mode]
+        for mode in ("choi", "kraus", "invert")
+    },
+    "channel_invert_r1.922034831393248e-162.txt":
+        ["channel", "--r", "1.922034831393248e-162", "--mode", "invert"],
     "sweep_linear.csv": ["sweep", "--steps", "12", "--scale", "linear"],
     "sweep_default.csv": ["sweep"],
     "sweep_linear_200.json":

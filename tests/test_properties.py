@@ -300,9 +300,10 @@ channel_maps = st.builds(
 @PROPERTY
 @given(kmap=st.one_of(signed_maps(), channel_maps))
 def test_choi_matrix_equals_the_basis_construction(kmap):
-    # Bit for bit, signed zeros included.
+    # Bit for bit, signed zeros included, after the trace-1 halving.
     got = choi_matrix(kmap).matrix
-    assert np.array_equal(got.view(np.int64), choi_by_basis(kmap).view(np.int64))
+    want = choi_by_basis(kmap) / 2.0
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @PROPERTY
@@ -328,7 +329,7 @@ def test_damping_and_channel_compose_into_damping(gamma, r):
 @example(r=1e-6)
 @example(r=1.4e-5)
 def test_inverse_choi_spectrum(r):
-    verdict = is_cp(choi_matrix(inverse_unruh(r), doubled=False))
+    verdict = is_cp(choi_matrix(inverse_unruh(r)))
     low = -np.tan(r) ** 2 / 2
     assert verdict.eigenvalues.sum() == pytest.approx(1.0, abs=1e-12)
     assert verdict.min_eigenvalue == pytest.approx(low, abs=1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rindler import qmat
 from rindler.channels import ChoiMatrix
 from rindler.correlations import measure_report
 from rindler.qmat import (
@@ -232,11 +233,12 @@ class TestEigHermitian:
             assert np.array_equal(got_lam.view(np.int64), ref_lam.view(np.int64))
             assert np.array_equal(got_v.view(np.int64), ref_v.view(np.int64))
 
-    def test_stack_reports_non_convergence(self):
+    def test_stack_reports_non_convergence(self, monkeypatch):
         rng = np.random.default_rng(7)
         stack = np.array([np.diag([1.0, 2.0, 3.0, 4.0]), random_hermitian(rng, 4)])
-        with pytest.raises(JacobiConvergenceError):
-            eig_hermitian(stack, max_sweeps=1)
+        monkeypatch.setattr(qmat, "_MAX_SWEEPS", 1)
+        with pytest.raises(JacobiConvergenceError, match="after 1 sweeps"):
+            eig_hermitian(stack)
 
     def test_subnormal_off_diagonal_entries(self):
         # g / |g| overflows for a subnormal g; such entries count as zero.

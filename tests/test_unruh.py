@@ -66,6 +66,12 @@ class TestCosR:
         assert got.tobytes() == want.tobytes()
         assert isinstance(cos_r(4.6, 0.1), float)
 
+    def test_tiny_array_accelerations_reach_the_rest_limit(self):
+        # omega / a overflows for these a; the warning is an error here.
+        got = cos_r(np.array([5e-324, 1e-310, 1.0]), 0.1)
+        assert got.tolist() == [1.0, 1.0, cos_r(1.0, 0.1)]
+        assert got[2] == pytest.approx(0.8075321024227905, abs=1e-15)
+
 
 class TestUnruhTemperature:
     def test_unit_cancellation(self):

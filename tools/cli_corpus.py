@@ -26,8 +26,11 @@ value per function, and exits 1 if anything differs.
 The corpus covers sweep (csv/json x log/linear, 2 to 2000 rows, omega
 0.005 to 20, a ratios up to 1e6), all channel modes at r = 0, 1e-6, 1e-3,
 pi/4, at random r and at random --a/--omega, kraus and invert on both sides
-of the angle where the Choi roundoff floor is cleared, geometry grids from
-2x2 to 200x200 (199x200 at r = 0 and pi/4), and usage and I/O errors.
+of the angle where the Choi roundoff floor is cleared, all channel modes at
+r = 5e-324 and invert at r = 1.9e-162 (where sin^2 r and tan^2 r / 2 are
+subnormal), a sweep at subnormal accelerations, geometry grids from 2x2 to
+200x200 (199x200 at r = 0 and pi/4), and usage and I/O errors: 1237 argv
+in 2432 runs, and 2700 library records.
 """
 
 from __future__ import annotations
@@ -54,6 +57,13 @@ MODES = ("choi", "kraus", "invert")
 # tan^2 r / 2 clear the roundoff floor 4 eps max|lam|, at r = 4.3e-8;
 # 1e-5 and 1.5e-5 straddle the fixed CP tolerance of -1e-10 used before.
 FLOOR_ANGLES = ["3e-8", "4e-8", "4.3e-8", "5e-8", "1e-5", "1.5e-5"]
+# Angles where sin^2 r and tan^2 r / 2 are subnormal: halving or doubling
+# the Choi matrix is not exact there, so they pin its normalization.
+SUBNORMAL = [["channel", "--r", "5e-324", "--mode", mode] for mode in MODES] + [
+    ["channel", "--r", "1.922034831393248e-162", "--mode", "invert"],
+    # omega / a overflows for these accelerations; r is 0 on every row.
+    ["sweep", "--steps", "3", "--a-min", "1e-320", "--a-max", "1e-310"],
+]
 USAGE_ERRORS = [
     [],
     ["--help"],
@@ -183,7 +193,7 @@ def corpus() -> list[list[str]]:
               for r in ("0", repr(math.pi / 4))]
     cases += [["channel", "--r", r, "--mode", mode]
               for mode in ("kraus", "invert") for r in FLOOR_ANGLES]
-    return cases + USAGE_ERRORS
+    return cases + SUBNORMAL + USAGE_ERRORS
 
 
 # Library states: A A^dag / Tr with a 4 x k complex A, k = 1..4 in turn,
