@@ -47,34 +47,46 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-# _split_12g's integer-path prefixes at 5 * sign + z: "0." and z zeros, or z = 4: 0.
-_PREFIXES = ("0.", "0.0", "0.00", "0.000", "", "-0.", "-0.0", "-0.00", "-0.000", "-")
+@functools.cache
+def _words() -> np.ndarray:
+    """_cells_12g's 4-byte words as read-only uint32: '%04d' % w at w < 10^4, then
+    the same with trailing zeros NUL; "," and NUL or "-", then "0."; 0 to 3 zeros."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # row w: w's 4 digits
+    text = digits + np.uint8(ord("0"))
+    kept = np.maximum.accumulate(digits[:, ::-1], 1)[:, ::-1] > 0  # not a trailing 0
+    lead = b",\0" b"0." b",-0." + b"".join(b"0" * z + b"\0" * (4 - z) for z in range(4))
+    return np.frombuffer(text.tobytes() + (text * kept).tobytes() + lead, np.uint32)
 
 
-def _split_12g(x):
-    """1-D finite x as lists (prefixes, ints): prefix + '%d' % int == '%.12g' % x.
+def _cells_12g(v: np.ndarray) -> np.ndarray:
+    """',' + '%.12g' % v for 1-D finite v: one 20-byte row each, NUL-padded.
 
-    In [1e-4, 1): "0.", z zeros, rint(s) for s = |x| 10^(12+z). s rounds once and
-    monotonically, and each k + 0.5 below 2^40 is a float: rint(s) is exact unless
-    s is a tie. Ties, |x| >= 1 and exponent forms are split from their own text.
+    In [1e-4, 1): sign, "0.", z zeros and the 12 digits of m = rint(s), s = |v|
+    10^(12+z), as three words, trailing zeros NUL. s rounds once and monotonically,
+    and each k + 0.5 below 2^40 is a float: rint(s) is exact unless s is a tie.
+    Ties, zeros, |v| >= 1, exponent forms and m = 1e12 take their own text.
     """
-    a = np.minimum(np.abs(x), 1.0)  # 1 or more: m = 1e12 at z = 0, never fast
+    a = np.minimum(np.abs(v), 1.0)
     z = (a < 0.1).astype(np.intp) + (a < 0.01) + (a < 0.001)
     s = a * np.array([1e12, 1e13, 1e14, 1e15])[z]
     m = np.rint(s)
-    top = m == 1e12  # rounds up to 10^-z: z - 1 zeros and 1; "1" itself at z = 0
-    fast = (s >= 1e11) & (np.abs(s - m) < 0.5) & (z >= top)
-    for p in (1e8, 1e4, 1e2, 1e1):  # strip trailing zeros; m / p is exact if whole
-        q = m / p
-        m = np.where(q == np.floor(q), q, m)
-    ints = m.astype(np.int64)
-    idx = np.where(x == 0.0, 4, z - top) + 5 * np.signbit(x)
-    rest = np.flatnonzero(~fast & (x != 0.0))
-    texts = ("%.12g," * rest.size % tuple(x[rest].tolist())).split(",")[:-1]
-    ints[rest] = [int(t[-1]) for t in texts]
-    idx[rest] = np.arange(len(_PREFIXES), len(_PREFIXES) + rest.size)
-    prefixes = np.array([*_PREFIXES, *(t[:-1] for t in texts)], dtype=object)
-    return prefixes[idx].tolist(), ints.tolist()
+    fast = (s >= 1e11) & (np.abs(s - m) < 0.5) & (m < 1e12)
+    # m = hi 10^8 + mid 10^4 + low, exact; a word is NUL-trailed if those after are 0.
+    hi, q = np.floor(m / 1e8), np.floor(m / 1e4)
+    mid, low = q - hi * 1e4, m - q * 1e4
+    idx = np.empty((v.size, 5), np.intp)
+    idx[:, 0], idx[:, 1], idx[:, 4] = np.signbit(v) + 20000, z + 20002, low + 1e4
+    idx[:, 2], idx[:, 3] = hi + (m == hi * 1e8) * 1e4, mid + (low == 0) * 1e4
+    cells = np.take(_words(), idx).view(np.uint8)
+    rest = np.flatnonzero(~fast)
+    texts = ("%.12g," * rest.size % tuple(v[rest].tolist())).split(",")[:-1]
+    cells[rest, 1:] = np.array(texts, dtype="S19").view(np.uint8).reshape(-1, 19)
+    return cells
+
+
+def _text_cells(template: str, values: np.ndarray) -> np.ndarray:
+    # template % value of each value, one NUL-padded uint8 row each.
+    return np.array([[template % v] for v in values.tolist()], dtype=bytes).view(np.uint8)
 
 
 def _fmt_complex(z: complex) -> str:
@@ -93,11 +105,12 @@ def _term_lines(kmap) -> list[str]:
             for line in [f"sign {sign:+d}", *_matrix_lines(op)]]
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(text, out_path) -> None:
+    # str, or the ASCII bytes of a points file: written in binary, decoded for stdout.
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(text if isinstance(text, str) else text.decode())
     else:
-        with open(out_path, "w") as fh:
+        with open(out_path, "w" if isinstance(text, str) else "wb") as fh:
             fh.write(text)
 
 
@@ -188,16 +201,18 @@ def cmd_geometry(args) -> int:
     if args.steps < 100:
         return _usage(f"--steps must be >= 100 for the quadrature, got {args.steps}")
 
-    # theta, phi and z repeat across the grid, so each is formatted once into
-    # one %-template for the whole text, which x and y then fill as %s%d. The
-    # rows are built as the template is joined, after the split of x and y.
+    # One NUL-padded row a point after the header, x and y apart (half the temporaries);
+    # translate drops the NULs, in about 0.6 the time of flat[flat != 0].
     theta, phi, x, y, z = _grid(args.r, args.n_theta, args.n_phi)
-    parts = [f",{p},%s%d,%s%d," for p in map(_fmt, phi.tolist())]
-    rows = (t + (zt + "\n" + t).join(parts) + zt
-            for t, zt in zip(map(_fmt, theta.tolist()), map(_fmt, z.tolist())))
-    xy = [None] * (2 * (x.size + y.size))
-    xy[0::2], xy[1::2] = _split_12g(np.stack([x, y], -1).ravel())
-    _emit("\n".join(["theta,phi,x,y,z", *rows, ""]) % tuple(xy), args.out)
+    cells = [_text_cells("%.12g", theta)[:, None], _text_cells(",%.12g", phi)[None],
+             *(_cells_12g(c.ravel()).reshape(*c.shape, 20) for c in (x, y)),
+             _text_cells(",%.12g\n", z)[:, None]]
+    head = b"theta,phi,x,y,z\n"
+    text = bytearray(len(head) + x.size * sum(c.shape[-1] for c in cells))
+    text[:len(head)] = head
+    np.concatenate([np.broadcast_to(c, x.shape + c.shape[-1:]) for c in cells], -1,
+                   out=np.frombuffer(text, np.uint8)[len(head):].reshape(*x.shape, -1))
+    _emit(text.translate(None, b"\0"), args.out)
 
     # The summary keys are the SpheroidReport field names.
     rep = spheroid_report(args.r, args.steps)

@@ -55,16 +55,16 @@ class MeasureReport(NamedTuple):
     mutual_information: float
 
 
-def _two_qubit(rho: np.ndarray, stacked=False) -> tuple[np.ndarray, EigenDecomposition]:
+def _two_qubit(rho: np.ndarray, stacked=False, vectors=True) -> tuple:
     """Validate once at the API boundary; the spectrum solved is shared.
 
-    With stacked, a stack (..., 4, 4) of states is accepted too; the
-    private bodies below work on either, with the same arithmetic per state.
+    With stacked, a stack (..., 4, 4) of states is too, each with the same arithmetic;
+    vectors=False solves the eigenvalues alone, for callers that read no more.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4) or (rho.ndim > 2 and not stacked):
         raise ValueError(f"expected a two-qubit state, got shape {rho.shape}")
-    return rho, _checked_eig(rho, "rho")
+    return rho, _checked_eig(rho, "rho", vectors)
 
 
 # _PAULI_BASIS[i, j] = s_i (x) s_j with s_0 = I and (s_1, s_2, s_3) = PAULIS.
@@ -87,7 +87,7 @@ def _decompose(rho: np.ndarray) -> TwoQubitDecomposition:
 
 def decompose(rho: np.ndarray) -> TwoQubitDecomposition:
     """Local Bloch vectors and the 3x3 correlation matrix of a state."""
-    return _decompose(_two_qubit(rho)[0])
+    return _decompose(_two_qubit(rho, vectors=False)[0])
 
 
 def reconstruct(dec: TwoQubitDecomposition) -> np.ndarray:
@@ -114,7 +114,7 @@ def bell_B(rho: np.ndarray) -> float:
     Some CHSH setting violates the classical bound exactly when the
     returned value exceeds 1.
     """
-    return float(_bell_B(_gamma_spectrum(_two_qubit(rho)[0])))
+    return float(_bell_B(_gamma_spectrum(_two_qubit(rho, vectors=False)[0])))
 
 
 def _concurrence(rho: np.ndarray, dec: EigenDecomposition) -> np.ndarray:
@@ -149,7 +149,7 @@ def f_max(rho: np.ndarray) -> float:
     Evaluates (1/2)(1 + Tr sqrt(gamma^T gamma) / 3); the classical
     threshold is 2/3.
     """
-    return float(_f_max(_gamma_spectrum(_two_qubit(rho)[0])))
+    return float(_f_max(_gamma_spectrum(_two_qubit(rho, vectors=False)[0])))
 
 
 def _information(rho: np.ndarray, dec: EigenDecomposition) -> tuple:
@@ -163,7 +163,7 @@ def _information(rho: np.ndarray, dec: EigenDecomposition) -> tuple:
 
 def mutual_information(rho: np.ndarray) -> float:
     """S(A) + S(B) - S(AB) in bits."""
-    return float(_information(*_two_qubit(rho))[0])
+    return float(_information(*_two_qubit(rho, vectors=False))[0])
 
 
 def _dephasing(rho: np.ndarray, spectra: EigenDecomposition) -> tuple:
@@ -186,7 +186,7 @@ def dephased(rho: np.ndarray) -> np.ndarray:
     fixed convention keeps the result deterministic even though a
     degenerate marginal has no preferred eigenbasis.
     """
-    rho, dec = _two_qubit(rho)
+    rho, dec = _two_qubit(rho, vectors=False)
     u, p = _dephasing(rho, _information(rho, dec)[2])
     return (u * p) @ _dag(u)
 
@@ -199,7 +199,7 @@ def _qmid(rho: np.ndarray, info, local, spectra) -> np.ndarray:
 
 def qmid(rho: np.ndarray) -> float:
     """Measurement-induced disturbance I(rho) - I(dephased(rho)), in bits."""
-    rho, dec = _two_qubit(rho)
+    rho, dec = _two_qubit(rho, vectors=False)
     return float(_qmid(rho, *_information(rho, dec)))
 
 
@@ -274,7 +274,7 @@ def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
     samples : number of Haar samples, a whole number (int or float) >= 1
     seed : generator seed; identical seeds reproduce the estimate bit for bit
     """
-    rho, _ = _two_qubit(rho)
+    rho, _ = _two_qubit(rho, vectors=False)
     table = _teleport_table(rho, _whole(samples, 1, "samples"), seed)
     return float(sum(table.max(axis=0)))
 

@@ -213,14 +213,14 @@ def _jacobi(m: np.ndarray, vectors=True) -> EigenDecomposition:
     return EigenDecomposition(lam.reshape(m.shape[:-1]), vecs.reshape(m.shape))
 
 
-def _checked_eig(m: np.ndarray, name: str) -> EigenDecomposition:
+def _checked_eig(m: np.ndarray, name: str, vectors=True) -> EigenDecomposition:
     # Density-matrix checks of a matrix or a stack, naming its first bad one.
     m = _hermitian(m, name)
     tr = np.asarray(np.trace(m, axis1=-2, axis2=-1))
     bad = np.hypot(tr.real - 1.0, tr.imag) > 1e-10
     if bad.any():
         raise ValueError(f"{name} has trace {tr[bad][0]}, expected 1")
-    dec = _jacobi(m)
+    dec = _jacobi(m, vectors)
     low = dec.eigenvalues[..., -1]
     if (low < PSD_TOL).any():
         raise ValueError(f"{name} has negative eigenvalue {low[low < PSD_TOL][0]}")
@@ -235,7 +235,7 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
         raise ValueError(f"{name} must be one matrix, got shape {rho.shape}")
     if rho.shape[0] not in (2, 4, 8):
         raise ValueError(f"{name} has unsupported dimension {rho.shape[0]}")
-    _checked_eig(rho, name)
+    _checked_eig(rho, name, vectors=False)
     return rho
 
 
@@ -266,7 +266,7 @@ def _entropy(lam: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -sum(lam * log2 lam) in bits, with 0*log0 taken as 0."""
-    return float(_entropy(_checked_eig(rho, "entropy input").eigenvalues))
+    return float(_entropy(_checked_eig(rho, "entropy input", vectors=False).eigenvalues))
 
 
 def pure_qubit(theta: float, phi: float) -> np.ndarray:

@@ -364,12 +364,13 @@ class TestGeometry:
         assert main(argv + ["99"]) == 2
         capsys.readouterr()
 
-    def test_split_12g_rebuilds_the_12g_text(self):
-        # prefix + '%d' % int is '%.12g' % x: checked on 10^6 seeded doubles of
-        # both signs and their nextafter neighbours. Magnitudes in [1e-4, 1) take
-        # the integer path, ties (k + 0.5) / 10^m and values that round up to
-        # 1, 0.1, 0.01, 0.001 its edges; the rest (random bits, subnormals,
-        # powers of ten, +-0) print from their own text.
+    def test_cells_12g_rebuild_the_12g_text(self):
+        # Each cell without its NULs is ',' + '%.12g' % x: checked on 10^6 seeded
+        # doubles of both signs and their nextafter neighbours. Magnitudes in
+        # [1e-4, 1) take the word path, ties (k + 0.5) / 10^m and values that round
+        # up to 1, 0.1, 0.01, 0.001 its edges; the rest (random bits, subnormals,
+        # powers of ten, +-0) print from their own text. The longest texts, 19
+        # characters after the ',', fill all 20 bytes of their cells.
         rng = np.random.default_rng(1812)
 
         def signed(x):
@@ -381,6 +382,8 @@ class TestGeometry:
             10.0 ** -rng.integers(0, 4, 20_000) * (1.0 - rng.uniform(0, 1e-12, 20_000)),
             10.0 ** np.arange(-323, 309),
         ])
+        longest = np.array([-2.2250738585072014e-308, -1.2345678901234567e-100,
+                            -9.999999999994e-300, -np.finfo(float).max])
         x = np.concatenate([
             signed(10.0 ** rng.uniform(-4, 0, 450_000)),
             np.frombuffer(rng.bytes(8 * 100_000), dtype=np.float64),
@@ -388,13 +391,44 @@ class TestGeometry:
             signed(rng.integers(1, 2**52, 20_000).view(np.float64)),
             [0.0, -0.0, 1.0, -1.0, 1e-4, 5e-324, np.finfo(float).max, 1.0 - 2.0**-53],
             signed(edges), *(signed(np.nextafter(edges, to)) for to in (-np.inf, np.inf)),
+            longest,
         ])
         x = x[np.isfinite(x)]
         assert len(x) >= 10**6
-        prefixes, ints = cli._split_12g(x)
-        values = tuple(x.tolist())
-        want = ("%.12g," * len(values) % values).split(",")[:-1]
-        assert [p + "%d" % i for p, i in zip(prefixes, ints)] == want
+        cells = cli._cells_12g(x)
+        assert cells.shape == (len(x), 20) and cells.dtype == np.uint8
+        # One ',' leads each cell and '%.12g' prints none, so the split is per cell.
+        flat = cells.ravel()
+        got = flat[flat != 0].tobytes().decode().split(",")
+        want = (",%.12g" * len(x) % tuple(x.tolist())).split(",")
+        assert got == want
+        assert ["%.12g" % v for v in longest] == [
+            "-2.22507385851e-308", "-1.23456789012e-100", "-9.99999999999e-300",
+            "-1.79769313486e+308"]
+        assert (cells[-len(longest):] != 0).all()
+
+    def test_word_tables_are_04d_text(self):
+        # '%04d' % w, the same with the trailing zeros NUL, then the sign and
+        # zero words, as _cells_12g indexes them.
+        words = cli._words()
+        assert words.dtype == np.uint32 and not words.flags.writeable
+        text = [bytes(w) for w in words.view(np.uint8).reshape(-1, 4)]
+        want = [b"%04d" % w for w in range(10**4)]
+        assert text[:10**4] == want
+        assert text[10**4:2 * 10**4] == [w.rstrip(b"0").ljust(4, b"\0") for w in want]
+        assert text[2 * 10**4:] == [b",\0" b"0.", b",-0.", b"\0\0\0\0", b"0\0\0\0",
+                                    b"00\0\0", b"000\0"]
+
+    @pytest.mark.parametrize("r", ["0", "0.3", repr(np.pi / 4)])
+    def test_stdout_equals_the_out_file(self, r, tmp_path, capsys):
+        # The points file is written in binary and stdout as text: the same bytes.
+        argv = ["geometry", "--r", r, "--n-theta", "200", "--n-phi", "200"]
+        out = tmp_path / "points.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert summary.startswith("# center=") and summary.count("\n") == 1
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes() + summary.encode()
 
     def test_unwritable_path_is_io_error(self, capsys):
         rc = main(["geometry", "--r", "0.1", "--n-theta", "3",

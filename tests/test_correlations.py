@@ -529,21 +529,23 @@ class TestMeasureReport:
     # each call needs them. The dephased spectrum is diag(U^dag rho U), read
     # off without a solve, and dephasing keeps the marginals: on a full-rank
     # random state, whose dephased marginals differ from its own in the
-    # last bits, the count is the same.
+    # last bits, the count is the same. The input's eigenvectors are solved
+    # only where sqrt(rho) reads them, for the concurrence.
     @pytest.mark.parametrize(
-        "measure, solves, rho",
+        "measure, solves, vectors, rho",
         [
-            pytest.param(measure_report, 4, shared_state(0.3), id="measure_report"),
-            pytest.param(concurrence, 2, shared_state(0.3), id="concurrence"),
-            pytest.param(mutual_information, 2, shared_state(0.3),
+            pytest.param(measure_report, 4, True, shared_state(0.3), id="measure_report"),
+            pytest.param(concurrence, 2, True, shared_state(0.3), id="concurrence"),
+            pytest.param(mutual_information, 2, False, shared_state(0.3),
                          id="mutual_information"),
-            pytest.param(qmid, 2, shared_state(0.3), id="qmid"),
-            pytest.param(measure_report, 4,
+            pytest.param(qmid, 2, False, shared_state(0.3), id="qmid"),
+            pytest.param(measure_report, 4, True,
                          random_two_qubit_density(np.random.default_rng(157)),
                          id="measure_report_full_rank"),
         ],
     )
-    def test_validates_once_and_shares_spectra(self, monkeypatch, measure, solves, rho):
+    def test_validates_once_and_shares_spectra(self, monkeypatch, measure, solves,
+                                               vectors, rho):
         solved, checked = [], []
         eig, check = qmat._jacobi, qmat._checked_eig
 
@@ -551,9 +553,11 @@ class TestMeasureReport:
             solved.append(np.array(m))
             return eig(m, *args, **kwargs)
 
-        def counting_check(m, name):
+        def counting_check(m, name, *args, **kwargs):
             checked.append(name)
-            return check(m, name)
+            dec = check(m, name, *args, **kwargs)
+            assert (dec.eigenvectors is not None) == vectors
+            return dec
 
         for module in (qmat, correlations):
             monkeypatch.setattr(module, "_jacobi", counting_eig)
@@ -565,6 +569,38 @@ class TestMeasureReport:
             assert len(solved) == solves
             assert sum(np.array_equal(m, rho) for m in solved) == 1
             assert checked == ["rho"]
+
+    # The callers that read only eigenvalues solve none of the input's
+    # eigenvectors, and give the bits they gave with the full solve.
+    @pytest.mark.parametrize("measure", [
+        qmat.validate_density_matrix, qmat.von_neumann_entropy, decompose, bell_B, f_max,
+        mutual_information, qmid, dephased, lambda rho: teleport_fidelity_mc(rho, 100),
+    ])
+    def test_eigenvalue_readers_solve_no_vectors(self, monkeypatch, measure):
+        states = [shared_state(0.3), shared_state(0.0), np.eye(4) / 4,
+                  random_two_qubit_density(np.random.default_rng(158))]
+        eig, check = qmat._jacobi, qmat._checked_eig
+        flags = []
+
+        def run():
+            out = [measure(rho) for rho in states]
+            return [[np.asarray(x).tobytes() for x in (o if isinstance(o, tuple) else [o])]
+                    for o in out]
+
+        def recording_eig(m, vectors=True):
+            if np.shape(m)[-1] == 4:
+                flags.append(vectors)
+            return eig(m, vectors)
+
+        for module in (qmat, correlations):
+            monkeypatch.setattr(module, "_checked_eig",
+                                lambda m, name, vectors=True: check(m, name))
+        full = run()
+        for module in (qmat, correlations):
+            monkeypatch.setattr(module, "_checked_eig", check)
+            monkeypatch.setattr(module, "_jacobi", recording_eig)
+        assert run() == full
+        assert flags == [False] * len(states)
 
     def test_subnormal_entries(self):
         # A valid state the solver once failed on: its rotation divided by

@@ -26,7 +26,7 @@ from rindler.channels import (
     kraus_from_choi,
     unruh_kraus,
 )
-from rindler.cli import _split_12g
+from rindler.cli import _cells_12g
 from rindler.correlations import (
     _BELL_OUTCOMES,
     _PAULI_BASIS,
@@ -360,15 +360,17 @@ def test_surface_grid_rows_equal_the_closed_form(r, n_theta, n_phi):
     assert _same([(t, p, *v) for t, p, v in got], [(t, p, *v) for t, p, v in want])
 
 
-# Finite floats of any size, and ones drawn where _split_12g prints from
-# integer digits, magnitudes below 1 and in [1e-4, 1e-3).
+# Finite floats of any size, and ones drawn where _cells_12g prints from
+# digit words, magnitudes below 1 and in [1e-4, 1e-3).
 finite_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                           st.floats(-1.0, 1.0), st.floats(1e-4, 1e-3))
 
 
 @PROPERTY
 @given(x=st.lists(finite_floats, min_size=1, max_size=50))
-@example(x=[0.0, -0.0, 1.0, -1.0, 0.5, 1e-4, 5e-324, 0.99999999999995, 0.09999999999995])
-def test_split_12g_rebuilds_the_12g_text(x):
-    prefixes, ints = _split_12g(np.array(x))
-    assert [p + "%d" % i for p, i in zip(prefixes, ints)] == ["%.12g" % v for v in x]
+@example(x=[0.0, -0.0, 1.0, -1.0, 0.5, 1e-4, 5e-324, 0.99999999999995, 0.09999999999995,
+            -2.2250738585072014e-308, -1.7976931348623157e308])
+def test_cells_12g_rebuild_the_12g_text(x):
+    # Each 20-byte cell, NULs dropped, is ',' + '%.12g' % x.
+    cells = _cells_12g(np.array(x))
+    assert [bytes(c[c != 0]).decode() for c in cells] == ["," + "%.12g" % v for v in x]

@@ -29,8 +29,9 @@ pi/4, at random r and at random --a/--omega, kraus and invert on both sides
 of the angle where the Choi roundoff floor is cleared, all channel modes at
 r = 5e-324 and invert at r = 1.9e-162 (where sin^2 r and tan^2 r / 2 are
 subnormal), a sweep at subnormal accelerations, geometry grids from 2x2 to
-200x200 (199x200 at r = 0 and pi/4), and usage and I/O errors: 1237 argv
-in 2432 runs, and 2700 library records.
+200x200 (199x200 at r = 0 and pi/4; 2x200, 200x2 and 199x197 at r = 0, 0.3
+and pi/4; 31x29 at r = 5e-324 and 1.9e-162), and usage and I/O errors: 1248
+argv in 2454 runs, and 2700 library records.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ FLOOR_ANGLES = ["3e-8", "4e-8", "4.3e-8", "5e-8", "1e-5", "1.5e-5"]
 # the Choi matrix is not exact there, so they pin its normalization.
 SUBNORMAL = [["channel", "--r", "5e-324", "--mode", mode] for mode in MODES] + [
     ["channel", "--r", "1.922034831393248e-162", "--mode", "invert"],
+    # Geometry at both angles: the center's -sin^2 r underflows to -0 or is subnormal.
+    *(["geometry", "--r", r, "--n-theta", "31", "--n-phi", "29"]
+      for r in ("5e-324", "1.922034831393248e-162")),
     # omega / a overflows for these accelerations; r is 0 on every row.
     ["sweep", "--steps", "3", "--a-min", "1e-320", "--a-max", "1e-310"],
 ]
@@ -191,6 +195,11 @@ def corpus() -> list[list[str]]:
     # '%.12g' text: 0 and -0, 1 and -1, exponents, and 12-digit values.
     cases += [["geometry", "--r", r, "--n-theta", "199", "--n-phi", "200"]
               for r in ("0", repr(math.pi / 4))]
+    # One long theta row, one long phi column, and an odd grid, where the row
+    # shapes of the points table meet the '%.12g' fallback cells of x and y.
+    cases += [["geometry", "--r", r, "--n-theta", n_theta, "--n-phi", n_phi]
+              for r in ("0", "0.3", repr(math.pi / 4))
+              for n_theta, n_phi in (("2", "200"), ("200", "2"), ("199", "197"))]
     cases += [["channel", "--r", r, "--mode", mode]
               for mode in ("kraus", "invert") for r in FLOOR_ANGLES]
     return cases + SUBNORMAL + USAGE_ERRORS
