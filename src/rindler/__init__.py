@@ -54,7 +54,6 @@ from .qmat import (
     partial_trace,
     pure_qubit,
     sqrt_psd,
-    tensor,
     validate_density_matrix,
     von_neumann_entropy,
 )

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import _hermitian, _jacobi, tensor
+from .qmat import _hermitian, _jacobi
 from .unruh import _check_angle
 
 
@@ -125,7 +125,7 @@ def apply(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
 def apply_to_second(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
     """Act with the map on the second qubit of a two-qubit state."""
     eye = np.eye(kmap.dim, dtype=complex)
-    return apply(KrausMap(tuple((s, tensor(eye, op)) for s, op in kmap.terms)), rho)
+    return apply(KrausMap(tuple((s, np.kron(eye, op)) for s, op in kmap.terms)), rho)
 
 
 def completeness_defect(kmap: KrausMap) -> float:

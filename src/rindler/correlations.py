@@ -34,8 +34,8 @@ from .qmat import (
 # the square root if kept.
 WOOTTERS_EIG_FLOOR = 1e-12
 
-# Marginal eigenvalue gaps below this are treated as degenerate and the
-# dephasing basis falls back to the computational one.
+# A marginal whose eigenvalue gap is below this dephases in the computational basis;
+# 1e-9 is far above an exact tie's gap (~1e-16 by roundoff, ~1e-12 by 12-digit text).
 DEGENERACY_GAP = 1e-9
 
 
@@ -75,7 +75,7 @@ _PAULI_BASIS = np.array([[np.kron(si, sj) for sj in _SIGMAS] for si in _SIGMAS])
 _PAULI_ROW = np.abs(_PAULI_BASIS).argmax(axis=-2).transpose(2, 0, 1)
 _PAULI_ENTRY = _PAULI_BASIS.sum(axis=-2).transpose(2, 0, 1)
 # x @ _PAULI_BASIS[2, 2] is x[..., ::-1] * _YY_SIGNS but for the signs of zeros.
-_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+_YY_SIGNS = _PAULI_ENTRY[:, 2, 2].real
 
 
 def _decompose(rho: np.ndarray) -> TwoQubitDecomposition:

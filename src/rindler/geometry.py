@@ -56,13 +56,8 @@ def image_of_pure(theta: float, phi: float, r: float) -> BlochVector:
     polar one becomes cos(2r) cos^2(theta/2) - sin^2(theta/2).
     """
     theta, phi = _check_sphere_angles(theta, phi)
-    r = _check_angle(r)
-    sin_t = np.sin(theta)
-    return BlochVector(
-        float(np.cos(r) * sin_t * np.cos(phi)),
-        float(np.cos(r) * sin_t * np.sin(phi)),
-        float(np.cos(2.0 * r) * np.cos(theta / 2.0) ** 2 - np.sin(theta / 2.0) ** 2),
-    )
+    x, y, z = _image(_check_angle(r), np.array([theta]), np.array([phi]))
+    return BlochVector(x.item(), y.item(), z.item())
 
 
 def radius_from_center(theta: float) -> float:
@@ -119,20 +114,21 @@ def spheroid_report(r: float, integration_steps: int = 10000) -> SpheroidReport:
     return SpheroidReport(center, equatorial, polar, eccentricity, fraction)
 
 
-def _grid(r: float, n_theta: int, n_phi: int):
-    """surface_grid as arrays: theta, phi and z 1-D, x and y (n_theta, n_phi).
-
-    The operations of image_of_pure in its order, so the same bits; z from
-    Python floats, as scalar ** (pow) and an array square can differ.
-    """
-    n_theta, n_phi = _whole(n_theta, 2, "n_theta"), _whole(n_phi, 2, "n_phi")
-    r = _check_angle(r)
-    theta = np.linspace(0.0, np.pi, n_theta)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+def _image(r: float, theta: np.ndarray, phi: np.ndarray):
+    """x, y (len theta, len phi) and z (len theta) of the images of pure inputs;
+    z from Python floats, as scalar ** (pow) and an array square can differ."""
     radial = (np.cos(r) * np.sin(theta))[:, None]
     c2 = math.cos(2.0 * r)
     z = [c2 * math.cos(t / 2.0) ** 2 - math.sin(t / 2.0) ** 2 for t in theta.tolist()]
-    return theta, phi, radial * np.cos(phi), radial * np.sin(phi), np.array(z)
+    return radial * np.cos(phi), radial * np.sin(phi), np.array(z)
+
+
+def _grid(r: float, n_theta: int, n_phi: int):
+    """surface_grid as arrays: theta, phi and z 1-D, x and y (n_theta, n_phi)."""
+    n_theta, n_phi = _whole(n_theta, 2, "n_theta"), _whole(n_phi, 2, "n_phi")
+    theta = np.linspace(0.0, np.pi, n_theta)
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    return (theta, phi, *_image(_check_angle(r), theta, phi))
 
 
 def surface_grid(r: float, n_theta: int, n_phi: int):

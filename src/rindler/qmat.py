@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small fixed dimensions.
 
 Everything in this package works on plain numpy arrays of dimension 2, 4
-or 8. This module supplies the shared plumbing: Pauli matrices, tensor
-products, partial traces, a deterministic Hermitian eigensolver, the PSD
-matrix square root and von Neumann entropy.
+or 8. This module supplies the shared plumbing: Pauli matrices, partial
+traces, a deterministic Hermitian eigensolver, the PSD matrix square root
+and von Neumann entropy.
 """
 
 from __future__ import annotations
@@ -45,17 +45,12 @@ def _dag(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - _dag(m))) <= HERMITIAN_TOL)
-
-
 def _hermitian(m: np.ndarray, name: str) -> np.ndarray:
     # The shape and Hermiticity checks of every input matrix, or stack of them.
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m):
+    if not np.max(np.abs(m - _dag(m))) <= HERMITIAN_TOL:
         raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL}")
     return m
 
@@ -64,20 +59,6 @@ def _whole(x, least: int, what: str) -> int:
     if not (np.isfinite(x) and x >= least and x == int(x)):
         raise ValueError(f"{what} must be a whole number >= {least}, got {x!r}")
     return int(x)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with basis ordering |j>_a |k>_b -> j*dim_b + k.
-
-    The result dimension is capped at 8, matching the largest carrier
-    used anywhere in the package.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    dim = a.shape[0] * b.shape[0]
-    if dim > 8:
-        raise ValueError(f"tensor result dimension {dim} exceeds 8")
-    return np.kron(a, b)
 
 
 def partial_trace(rho: np.ndarray, dims: list[int], traced: int) -> np.ndarray:
@@ -110,8 +91,9 @@ def partial_trace(rho: np.ndarray, dims: list[int], traced: int) -> np.ndarray:
 
 
 def _unconverged(a: np.ndarray, live):
-    # The matrices of a[live] whose off-diagonal Frobenius norm exceeds
-    # 1e-13: live itself while that is all of them, None once it is none.
+    # The matrices of a[live] whose off-diagonal Frobenius norm exceeds 1e-13 (above
+    # a rotation's ~n eps roundoff on unit-scale input): live itself while that is
+    # all of them, None once it is none.
     n = a.shape[-1]
     sq = np.abs(a[live]).reshape(-1, n * n) ** 2
     sq[:, :: n + 1] = 0.0
@@ -195,9 +177,9 @@ def _jacobi(m: np.ndarray, vectors=True) -> EigenDecomposition:
     lam = a.diagonal(axis1=-2, axis2=-1).real
     rows, cols = np.arange(len(a))[:, None], np.arange(n)
     if vectors and rotating is not None:
-        # Fix each eigenvector's global phase so its first significant entry
-        # is real and positive; this makes the tie-break below well defined.
-        # The columns of v are unit vectors, so every one has such an entry.
+        # Fix each eigenvector's global phase so its first entry above 1e-12 is real
+        # and positive; this makes the tie-break below well defined. Roundoff on a zero
+        # (~1e-16) never passes 1e-12; a unit column's largest entry (>= 1/sqrt n) does.
         absv = np.hypot(v.real, v.imag)
         first = (absv > 1e-12).argmax(axis=-2)
         v = v * (v[rows, first, cols].conj() / absv[rows, first, cols])[:, None, :]
@@ -216,6 +198,7 @@ def _jacobi(m: np.ndarray, vectors=True) -> EigenDecomposition:
 def _checked_eig(m: np.ndarray, name: str, vectors=True) -> EigenDecomposition:
     # Density-matrix checks of a matrix or a stack, naming its first bad one.
     m = _hermitian(m, name)
+    # 1e-10 as HERMITIAN_TOL: above float and 12-digit-text trace errors.
     tr = np.asarray(np.trace(m, axis1=-2, axis2=-1))
     bad = np.hypot(tr.real - 1.0, tr.imag) > 1e-10
     if bad.any():
@@ -248,8 +231,9 @@ def _psd_root(dec: EigenDecomposition) -> np.ndarray:
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Principal square root of a positive semidefinite Hermitian matrix.
 
-    Eigenvalues in [-1e-8, 0) are treated as roundoff and clamped to
-    zero; anything below that is rejected.
+    Eigenvalues in [-1e-8, 0) are treated as roundoff and clamped to zero;
+    anything below is rejected. m need not be a state, so not PSD_TOL: the
+    roundoff n eps ||m|| stays under 1e-8 up to ||m|| ~ 1e7.
     """
     dec = eig_hermitian(m)
     if dec.eigenvalues[-1] < -1e-8:

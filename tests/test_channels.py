@@ -134,6 +134,36 @@ class TestApplyToSecond:
             got = apply_to_second(inverse_unruh(r), shared_state(r))
             assert np.max(np.abs(got - BELL_PROJECTOR)) < 1e-10
 
+    def test_product_state_changes_only_the_second_factor(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            rho_a, rho_b = random_density(rng), random_density(rng)
+            kmap = random_cptp_map(rng)
+            got = apply_to_second(kmap, np.kron(rho_a, rho_b))
+            assert_allclose(got, np.kron(rho_a, apply(kmap, rho_b)), atol=1e-12)
+
+    def test_ordering_against_index_oracle(self):
+        # row index 2 * a + b: a labels the first qubit, b the second
+        rng = np.random.default_rng(12)
+        kmap = KrausMap(((1, random_cptp_map(rng).terms[0][1]),
+                         (-1, random_cptp_map(rng).terms[1][1])))
+        rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        got = apply_to_second(kmap, rho)
+        want = np.zeros((4, 4), dtype=complex)
+        for sign, op in kmap.terms:
+            for a, b, c, d, bb, dd in np.ndindex(2, 2, 2, 2, 2, 2):
+                want[2 * a + b, 2 * c + d] += (
+                    sign * op[b, bb] * rho[2 * a + bb, 2 * c + dd]
+                    * np.conj(op[d, dd])
+                )
+        assert_allclose(got, want, atol=1e-12)
+
+    def test_map_of_wrong_dimension_names_the_shapes(self):
+        kmap = KrausMap(((1, np.eye(3)),))
+        with pytest.raises(ValueError, match=r"state shape \(4, 4\) does not "
+                           r"match map dimension 9"):
+            apply_to_second(kmap, BELL_PROJECTOR)
+
 
 class TestChoiMatrix:
     def test_identity_channel(self):

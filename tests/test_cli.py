@@ -169,7 +169,7 @@ class TestSweep:
     @pytest.mark.parametrize("steps", [3, 200])
     def test_one_batched_solve_per_stage(self, monkeypatch, capsys, steps):
         solved, checked, spectra_only = [], [], []
-        eig, hermitian = qmat._jacobi, qmat.is_hermitian
+        eig, hermitian = qmat._jacobi, qmat._hermitian
 
         def counting(m, *args, **kwargs):
             solved.append(np.shape(m))
@@ -182,7 +182,7 @@ class TestSweep:
 
         for module in (qmat, correlations):
             monkeypatch.setattr(module, "_jacobi", counting)
-        monkeypatch.setattr(qmat, "is_hermitian", counting_check)
+        monkeypatch.setattr(qmat, "_hermitian", counting_check)
         assert main(["sweep", "--steps", str(steps)]) == 0
         assert len(solved) == 4
         assert all(shape[0] == steps for shape in solved)

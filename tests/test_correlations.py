@@ -21,7 +21,7 @@ from rindler.correlations import (
     reconstruct,
     teleport_fidelity_mc,
 )
-from rindler.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z, pure_qubit, tensor
+from rindler.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z, pure_qubit
 from rindler.unruh import shared_state
 
 R_GRID = np.linspace(0.0, np.pi / 4, 100)
@@ -51,7 +51,7 @@ def random_unitary(rng, n=2):
 
 
 def random_product_state(rng):
-    return tensor(random_qubit_density(rng), random_qubit_density(rng))
+    return np.kron(random_qubit_density(rng), random_qubit_density(rng))
 
 
 def random_x_state(rng):
@@ -357,7 +357,7 @@ class TestLocalUnitaryInvariance:
         rng = np.random.default_rng(139)
         for _ in range(15):
             rho = random_two_qubit_density(rng)
-            u = tensor(random_unitary(rng), random_unitary(rng))
+            u = np.kron(random_unitary(rng), random_unitary(rng))
             rotated = u @ rho @ u.conj().T
             assert measure(rotated) == pytest.approx(measure(rho), abs=1e-9)
 

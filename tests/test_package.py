@@ -12,14 +12,14 @@ PUBLIC = {
     "BlochVector", "SpheroidReport", "bloch_of", "image_of_pure",
     "radius_from_center", "sample_surface", "spheroid_report", "surface_grid",
     "EigenDecomposition", "JacobiConvergenceError", "eig_hermitian",
-    "partial_trace", "pure_qubit", "sqrt_psd", "tensor",
+    "partial_trace", "pure_qubit", "sqrt_psd",
     "validate_density_matrix", "von_neumann_entropy",
     "UnruhParams", "cos_r", "shared_state", "three_mode_state", "unruh_temperature",
 }
 
 
 def test_public_names_are_frozen():
-    assert len(rindler.__all__) == len(PUBLIC) == 46
+    assert len(rindler.__all__) == len(PUBLIC) == 45
     assert set(rindler.__all__) == PUBLIC
 
 

@@ -43,7 +43,7 @@ from rindler.correlations import (
     qmid,
 )
 from rindler.geometry import image_of_pure, surface_grid
-from rindler.qmat import PAULIS, _jacobi, eig_hermitian, partial_trace, tensor
+from rindler.qmat import PAULIS, _jacobi, eig_hermitian, partial_trace
 from rindler.unruh import shared_state
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -101,7 +101,7 @@ def cptp_maps(draw):
 @PROPERTY
 @given(rho=densities(), u=qubit_unitaries(), v=qubit_unitaries())
 def test_local_unitary_invariance(measure, tol, rho, u, v):
-    w = tensor(u, v)
+    w = np.kron(u, v)
     assert measure(w @ rho @ w.conj().T) == pytest.approx(measure(rho), abs=tol)
 
 
@@ -247,15 +247,15 @@ def bell_mixtures(draw):
     assume(q.sum() > 0)
     vecs = _BELL_OUTCOMES.reshape(4, 4)
     rho = np.einsum("k,ki,kj->ij", q / q.sum(), vecs, vecs.conj())
-    w = tensor(draw(qubit_unitaries()), draw(qubit_unitaries()))
+    w = np.kron(draw(qubit_unitaries()), draw(qubit_unitaries()))
     return w @ rho @ w.conj().T
 
 
 # Marginals I/2 + 1e-10 sigma/2: degenerate within DEGENERACY_GAP, yet off
 # the diagonal by more than the solver's 1e-13, so a solved basis would
 # differ from the fallback one.
-NEAR_FLAT = (np.eye(4) + 1e-10 * (tensor(PAULIS[0], np.eye(2))
-                                  + tensor(np.eye(2), PAULIS[1]))) / 4
+_I2 = np.eye(2, dtype=complex)
+NEAR_FLAT = (np.eye(4) + 1e-10 * (np.kron(PAULIS[0], _I2) + np.kron(_I2, PAULIS[1]))) / 4
 
 
 @settings(PROPERTY, max_examples=200)
@@ -279,7 +279,7 @@ def choi_by_basis(kmap):
     for j in range(2):
         for k in range(2):
             ejk = np.outer(basis[j], basis[k])
-            m += tensor(ejk, apply(kmap, ejk))
+            m += np.kron(ejk, apply(kmap, ejk))
     return m
 
 

@@ -16,7 +16,6 @@ from rindler.qmat import (
     partial_trace,
     pure_qubit,
     sqrt_psd,
-    tensor,
     validate_density_matrix,
     von_neumann_entropy,
 )
@@ -62,38 +61,6 @@ def brute_partial_trace(rho, dims, traced):
     return out
 
 
-class TestTensor:
-    def test_identity(self):
-        assert_allclose(tensor(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-    def test_diagonal_kron(self):
-        assert_allclose(tensor(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]))
-
-    def test_block_placement(self):
-        p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-        got = tensor(p0, SIGMA_X)
-        want = np.zeros((4, 4), dtype=complex)
-        want[:2, :2] = SIGMA_X
-        assert_allclose(got, want)
-
-    def test_ordering_against_index_oracle(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(2, 2))
-        b = rng.normal(size=(4, 4))
-        got = tensor(a, b)
-        for j in range(2):
-            for k in range(4):
-                for jj in range(2):
-                    for kk in range(4):
-                        assert got[4 * j + k, 4 * jj + kk] == pytest.approx(
-                            a[j, jj] * b[k, kk]
-                        )
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            tensor(np.eye(4), np.eye(4))
-
-
 class TestPartialTrace:
     def test_bell_marginal(self):
         bell = np.zeros((4, 4), dtype=complex)
@@ -106,7 +73,7 @@ class TestPartialTrace:
         for _ in range(20):
             rho_a = random_density(rng, 2)
             rho_b = random_density(rng, 2)
-            prod = tensor(rho_a, rho_b)
+            prod = np.kron(rho_a, rho_b)
             assert_allclose(partial_trace(prod, [2, 2], 1), rho_a, atol=1e-12)
             assert_allclose(partial_trace(prod, [2, 2], 0), rho_b, atol=1e-12)
 

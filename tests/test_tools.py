@@ -1,0 +1,35 @@
+"""Smoke test of tools/cli_corpus.py, the byte-identity corpus.
+
+The corpus turns any library exception into an `error` record, so an API
+the tool calls could vanish without a dump failing; these checks catch it.
+"""
+
+import importlib.util
+import itertools
+from pathlib import Path
+
+import rindler
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_corpus.py"
+_spec = importlib.util.spec_from_file_location("cli_corpus", TOOL)
+cli_corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_corpus)
+
+
+def test_corpus_is_the_same_on_every_call():
+    assert cli_corpus.corpus() == cli_corpus.corpus()
+
+
+def test_library_records_of_the_first_states_hold_no_error():
+    first = 8 * len(cli_corpus.LIB_FUNCTIONS)
+    records = list(itertools.islice(cli_corpus._lib_records(rindler), first))
+    assert len(records) == first
+    assert [rec for rec in records if "error" in rec] == []
+
+
+def test_out_file_keeps_its_line_ends(tmp_path):
+    def main(argv):
+        Path(argv[-1]).write_bytes(b"a\r\nb\rc\n")
+        return 0
+
+    assert cli_corpus._run(main, ["x"], tmp_path / "out")["file"] == "a\r\nb\rc\n"

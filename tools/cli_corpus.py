@@ -13,8 +13,12 @@ measure shows eigenvector bits. Then `teleport_fidelity_mc` of each state,
 seeded with its index, with 1 to 10^5 samples (`MC_SAMPLES`). Last, the
 channel code at an angle r_i running over [0, pi/4] with the index i:
 `apply_to_second` of `unruh_kraus(r_i)` and of `inverse_unruh(r_i)` on each
-state, and the signed operators of `amplitude_damping(sin^2 r_i)`. Dump the
-corpus on two source trees and compare:
+state, the signed operators of `amplitude_damping(sin^2 r_i)`, and
+`image_of_pure(theta_i, phi_i, r_i)` at a point of the sphere per state
+(`SPHERE_ANGLES`: both poles, theta = pi + 1e-12 and the equator, each at
+phi = 0 and just below 2 pi, on the eight states nearest r = 0 and the
+eight nearest pi/4; seeded points between). Dump the corpus on two source
+trees and compare:
 
     python tools/cli_corpus.py dump before.jsonl --src /path/to/old/src
     python tools/cli_corpus.py dump after.jsonl
@@ -31,7 +35,7 @@ r = 5e-324 and invert at r = 1.9e-162 (where sin^2 r and tan^2 r / 2 are
 subnormal), a sweep at subnormal accelerations, geometry grids from 2x2 to
 200x200 (199x200 at r = 0 and pi/4; 2x200, 200x2 and 199x197 at r = 0, 0.3
 and pi/4; 31x29 at r = 5e-324 and 1.9e-162), and usage and I/O errors: 1248
-argv in 2454 runs, and 2700 library records.
+argv in 2454 runs, and 3000 library records.
 """
 
 from __future__ import annotations
@@ -221,6 +225,20 @@ def _angle(i: int) -> float:
     return math.pi / 4 * i / (LIB_STATES - 1)
 
 
+def _sphere_angles() -> list[tuple[float, float]]:
+    # (theta_i, phi_i) per state: the corners on the first and last eight
+    # states, r = 0 and r = pi/4 among them, and seeded points on the others.
+    corners = [(theta, phi) for theta in (0.0, math.pi, math.pi + 1e-12, math.pi / 2)
+               for phi in (0.0, math.nextafter(2.0 * math.pi, 0.0))]
+    rng = random.Random(SEED + 4)
+    return [corners[i % 8] if i < 8 or i >= LIB_STATES - 8
+            else (rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+            for i in range(LIB_STATES)]
+
+
+SPHERE_ANGLES = _sphere_angles()
+
+
 # Each function takes the package, the state and its index.
 LIB_FUNCTIONS = {
     "measure_report": lambda rindler, rho, i: rindler.measure_report(rho),
@@ -238,6 +256,8 @@ LIB_FUNCTIONS = {
     "amplitude_damping": lambda rindler, rho, i: [
         x for term in rindler.amplitude_damping(math.sin(_angle(i)) ** 2).terms
         for x in term],
+    "image_of_pure": lambda rindler, rho, i: rindler.image_of_pure(
+        *SPHERE_ANGLES[i], _angle(i)),
 }
 
 
@@ -279,7 +299,9 @@ def _run(main, argv: list[str], out_path: Path | None) -> dict:
         rc = main(full)
     data = None
     if out_path is not None and out_path.exists():
-        data = out_path.read_text()
+        # newline="": the file's own line ends, not read_text's translated ones.
+        with open(out_path, newline="") as fh:
+            data = fh.read()
         out_path.unlink()
     return {"argv": argv, "to_file": out_path is not None, "rc": rc,
             "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "file": data}
