@@ -1,10 +1,9 @@
 """Qubit channel algebra: Kraus maps, Choi matrices, and the inverse map.
 
-A KrausMap is an ordered list of (sign, operator) pairs realizing
-rho -> sum_j sign_j K_j rho K_j^dag. All-positive signs with
-sum K^dag K = I is an ordinary CP trace-preserving channel; the signed
-form covers Hermitian maps written as a difference of two CP pieces,
-which is exactly what the inverse of the acceleration channel needs.
+A KrausMap is a sign vector s, shape (k,), and an operator stack K, shape
+(k, d, d), realizing rho -> sum_j s_j K_j rho K_j^dag. All-positive signs with
+sum K^dag K = I is an ordinary CP trace-preserving channel; the signed form covers
+Hermitian maps written as a difference of two CP pieces, as the inverse needs.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import _hermitian, _jacobi
+from .qmat import _dag, _hermitian, _jacobi
 from .unruh import _check_angle
 
 
@@ -22,31 +21,29 @@ from .unruh import _check_angle
 class KrausMap:
     """Signed operator-sum representation of a Hermitian qubit map."""
 
-    terms: tuple
+    signs: np.ndarray
+    ops: np.ndarray
 
     def __post_init__(self):
-        cleaned = []
-        for sign, op in self.terms:
-            if sign not in (1, -1):
-                raise ValueError(f"term sign must be +1 or -1, got {sign}")
-            op = np.asarray(op, dtype=complex)
-            if op.ndim != 2 or op.shape[0] != op.shape[1]:
-                raise ValueError(f"Kraus operator must be square, got {op.shape}")
-            cleaned.append((int(sign), op))
-        if not cleaned:
-            raise ValueError("a Kraus map needs at least one term")
-        dims = {op.shape[0] for _, op in cleaned}
-        if len(dims) > 1:
-            raise ValueError(f"mixed Kraus operator dimensions {sorted(dims)}")
-        object.__setattr__(self, "terms", tuple(cleaned))
+        try:
+            ops = np.asarray(self.ops, dtype=complex)
+        except ValueError as exc:
+            raise ValueError("Kraus operators do not stack into one array") from exc
+        if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
+            raise ValueError(f"Kraus stack shape {ops.shape} is not (k >= 1, d, d)")
+        signs = np.asarray(self.signs)
+        if signs.shape != ops.shape[:1] or not set(signs.tolist()) <= {1, -1}:
+            raise ValueError(f"need {len(ops)} signs of +1 or -1, got {signs.tolist()}")
+        object.__setattr__(self, "signs", signs.astype(int))
+        object.__setattr__(self, "ops", ops)
 
     @property
     def dim(self) -> int:
-        return self.terms[0][1].shape[0]
+        return self.ops.shape[-1]
 
     @property
     def is_signed(self) -> bool:
-        return any(sign < 0 for sign, _ in self.terms)
+        return bool((self.signs < 0).any())
 
 
 @dataclass(frozen=True)
@@ -63,9 +60,8 @@ class ChoiMatrix:
 
 def _damping(keep, lose, sign: int) -> KrausMap:
     # The operator layout of the damping maps: (+1, diag(keep, 1)), (sign, lose |1><0|).
-    k1 = np.array([[keep, 0.0], [0.0, 1.0]], dtype=complex)
-    k2 = np.array([[0.0, 0.0], [lose, 0.0]], dtype=complex)
-    return KrausMap(((1, k1), (sign, k2)))
+    ops = np.array([[[keep, 0.0], [0.0, 1.0]], [[0.0, 0.0], [lose, 0.0]]], dtype=complex)
+    return KrausMap(np.array([1, sign]), ops)
 
 
 class CpVerdict(NamedTuple):
@@ -119,27 +115,26 @@ def apply(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"state shape {rho.shape} does not match map dimension {kmap.dim}"
         )
-    return sum(sign * (op @ rho @ op.conj().T) for sign, op in kmap.terms)
+    return (kmap.signs[:, None, None] * (kmap.ops @ rho @ _dag(kmap.ops))).sum(axis=0)
 
 
 def apply_to_second(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
     """Act with the map on the second qubit of a two-qubit state."""
-    eye = np.eye(kmap.dim, dtype=complex)
-    return apply(KrausMap(tuple((s, np.kron(eye, op)) for s, op in kmap.terms)), rho)
+    return apply(KrausMap(kmap.signs, np.kron(np.eye(kmap.dim), kmap.ops)), rho)
 
 
 def completeness_defect(kmap: KrausMap) -> float:
     """Max-norm distance of sum_j sign_j K_j^dag K_j from the identity."""
-    acc = sum(sign * (op.conj().T @ op) for sign, op in kmap.terms)
+    acc = (kmap.signs[:, None, None] * (_dag(kmap.ops) @ kmap.ops)).sum(axis=0)
     return float(np.max(np.abs(acc - np.eye(kmap.dim))))
 
 
 def compose(outer: KrausMap, inner: KrausMap) -> KrausMap:
-    """Map applying inner first, then outer; term signs multiply."""
+    """Map applying inner first, then outer; term signs multiply, outer-major."""
     if outer.dim != inner.dim:
         raise ValueError(f"dimension mismatch {outer.dim} vs {inner.dim}")
-    terms = [(so * si, ko @ ki) for so, ko in outer.terms for si, ki in inner.terms]
-    return KrausMap(tuple(terms))
+    ops = (outer.ops[:, None] @ inner.ops).reshape(-1, outer.dim, outer.dim)
+    return KrausMap(np.outer(outer.signs, inner.signs).ravel(), ops)
 
 
 def choi_matrix(kmap: KrausMap) -> ChoiMatrix:
@@ -147,10 +142,8 @@ def choi_matrix(kmap: KrausMap) -> ChoiMatrix:
     if kmap.dim != 2:
         raise ValueError(f"Choi construction expects a qubit map, dim {kmap.dim}")
     # sum_k sign_k vec(K_k) vec(K_k)^dag, vec column-major as in kraus_from_choi.
-    m = np.zeros((4, 4), dtype=complex)
-    for sign, op in kmap.terms:
-        v = op.reshape(4, order="F")
-        m += sign * np.outer(v, v.conj())
+    v = kmap.ops.swapaxes(-1, -2).reshape(-1, 4)
+    m = (kmap.signs[:, None, None] * (v[:, :, None] * v.conj()[:, None, :])).sum(axis=0)
     return ChoiMatrix(m / 2.0)
 
 
@@ -169,16 +162,10 @@ def kraus_from_choi(choi: ChoiMatrix) -> KrausMap:
     column-major, (v0,v1,v2,v3) becoming [[v0, v2], [v1, v3]]; the
     eigenvalue's sign becomes the term sign.
     """
-    dec = _jacobi(2.0 * choi.matrix)
-    floor = _roundoff(dec.eigenvalues)
-    terms = []
-    for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
-        if abs(lam) <= floor:
-            continue
-        scaled = np.sqrt(abs(lam)) * vec
-        op = scaled.reshape(2, 2, order="F")
-        terms.append((1 if lam > 0 else -1, op))
-    return KrausMap(tuple(terms))
+    lam, vecs = _jacobi(2.0 * choi.matrix)
+    keep = np.abs(lam) > _roundoff(lam)
+    ops = (np.sqrt(np.abs(lam[keep])) * vecs[:, keep]).T.reshape(-1, 2, 2)
+    return KrausMap(np.sign(lam[keep]), ops.swapaxes(-1, -2))
 
 
 def is_cp(choi: ChoiMatrix) -> CpVerdict:

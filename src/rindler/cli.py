@@ -97,11 +97,11 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _matrix_lines(m: np.ndarray) -> list[str]:
-    return ["  ".join(_fmt_complex(z) for z in row) for row in np.asarray(m)]
+    return ["  ".join(_fmt_complex(z) for z in row) for row in np.asarray(m).tolist()]
 
 
 def _term_lines(kmap) -> list[str]:
-    return [line for sign, op in kmap.terms
+    return [line for sign, op in zip(kmap.signs.tolist(), kmap.ops)
             for line in [f"sign {sign:+d}", *_matrix_lines(op)]]
 
 
@@ -175,7 +175,7 @@ def cmd_channel(args) -> int:
     elif args.mode == "kraus":
         kmap = kraus_from_choi(choi_matrix(unruh_kraus(r)))
         lines.append(f"kraus operators extracted from the choi matrix:"
-                     f" {len(kmap.terms)} term(s)")
+                     f" {len(kmap.ops)} term(s)")
         lines += _term_lines(kmap)
     else:
         inv = inverse_unruh(r)

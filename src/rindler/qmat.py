@@ -195,6 +195,14 @@ def _jacobi(m: np.ndarray, vectors=True) -> EigenDecomposition:
     return EigenDecomposition(lam.reshape(m.shape[:-1]), vecs.reshape(m.shape))
 
 
+def _floored(dec: EigenDecomposition, floor: float, what: str) -> EigenDecomposition:
+    # dec, if no matrix's least eigenvalue is below floor; else name the first that is.
+    low = dec.eigenvalues[..., -1]
+    if (low < floor).any():
+        raise ValueError(f"{what} {low[low < floor][0]}")
+    return dec
+
+
 def _checked_eig(m: np.ndarray, name: str, vectors=True) -> EigenDecomposition:
     # Density-matrix checks of a matrix or a stack, naming its first bad one.
     m = _hermitian(m, name)
@@ -203,11 +211,7 @@ def _checked_eig(m: np.ndarray, name: str, vectors=True) -> EigenDecomposition:
     bad = np.hypot(tr.real - 1.0, tr.imag) > 1e-10
     if bad.any():
         raise ValueError(f"{name} has trace {tr[bad][0]}, expected 1")
-    dec = _jacobi(m, vectors)
-    low = dec.eigenvalues[..., -1]
-    if (low < PSD_TOL).any():
-        raise ValueError(f"{name} has negative eigenvalue {low[low < PSD_TOL][0]}")
-    return dec
+    return _floored(_jacobi(m, vectors), PSD_TOL, f"{name} has negative eigenvalue")
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
@@ -229,16 +233,13 @@ def _psd_root(dec: EigenDecomposition) -> np.ndarray:
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a positive semidefinite Hermitian matrix.
+    """Principal square root of a PSD Hermitian matrix, or of each in a stack.
 
     Eigenvalues in [-1e-8, 0) are treated as roundoff and clamped to zero;
     anything below is rejected. m need not be a state, so not PSD_TOL: the
     roundoff n eps ||m|| stays under 1e-8 up to ||m|| ~ 1e7.
     """
-    dec = eig_hermitian(m)
-    if dec.eigenvalues[-1] < -1e-8:
-        raise ValueError(f"matrix is not PSD, eigenvalue {dec.eigenvalues[-1]}")
-    return _psd_root(dec)
+    return _psd_root(_floored(eig_hermitian(m), -1e-8, "matrix is not PSD, eigenvalue"))
 
 
 def _entropy(lam: np.ndarray) -> np.ndarray:
@@ -250,6 +251,8 @@ def _entropy(lam: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -sum(lam * log2 lam) in bits, with 0*log0 taken as 0."""
+    if np.ndim(rho) > 2:
+        raise ValueError(f"entropy input must be one matrix, got shape {np.shape(rho)}")
     return float(_entropy(_checked_eig(rho, "entropy input", vectors=False).eigenvalues))
 
 

@@ -93,16 +93,16 @@ def test_criterion_4_choi_to_kraus_extraction():
             lam = eig_hermitian(choi.matrix).eigenvalues
             assert abs(lam[2]) <= 1e-12 and abs(lam[3]) <= 1e-12
             kmap = kraus_from_choi(choi)
-            assert len(kmap.terms) == 2
+            assert len(kmap.ops) == 2
             assert np.max(
-                np.abs(kmap.terms[0][1] - np.diag([np.cos(r), 1.0]))
+                np.abs(kmap.ops[0] - np.diag([np.cos(r), 1.0]))
             ) < 1e-10
             lower = np.zeros((2, 2))
             lower[1, 0] = np.sin(r)
-            assert np.max(np.abs(kmap.terms[1][1] - lower)) < 1e-10
+            assert np.max(np.abs(kmap.ops[1] - lower)) < 1e-10
         rest = kraus_from_choi(choi_matrix(unruh_kraus(0.0)))
-        assert len(rest.terms) == 1
-        assert np.max(np.abs(rest.terms[0][1] - np.eye(2))) < 1e-10
+        assert len(rest.ops) == 1
+        assert np.max(np.abs(rest.ops[0] - np.eye(2))) < 1e-10
 
 
 def test_criterion_5_composition_law():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -37,15 +39,14 @@ def random_cptp_map(rng, n_terms=4):
     # sum K^dag K = I holds by construction
     g = rng.normal(size=(2 * n_terms, 2)) + 1j * rng.normal(size=(2 * n_terms, 2))
     q, _ = np.linalg.qr(g)
-    terms = tuple((1, q[2 * i: 2 * i + 2, :]) for i in range(n_terms))
-    return KrausMap(terms)
+    return KrausMap(np.ones(n_terms, dtype=int), q.reshape(n_terms, 2, 2))
 
 
 class TestUnruhKraus:
     def test_rest_is_identity_channel(self):
         kmap = unruh_kraus(0.0)
-        assert_allclose(kmap.terms[0][1], np.eye(2), atol=1e-15)
-        assert_allclose(kmap.terms[1][1], np.zeros((2, 2)), atol=1e-15)
+        assert_allclose(kmap.ops[0], np.eye(2), atol=1e-15)
+        assert_allclose(kmap.ops[1], np.zeros((2, 2)), atol=1e-15)
 
     @pytest.mark.parametrize(
         "r,diag0,lower",
@@ -54,10 +55,10 @@ class TestUnruhKraus:
     )
     def test_operator_entries(self, r, diag0, lower):
         kmap = unruh_kraus(r)
-        assert_allclose(kmap.terms[0][1], np.diag([diag0, 1.0]), atol=1e-15)
+        assert_allclose(kmap.ops[0], np.diag([diag0, 1.0]), atol=1e-15)
         want = np.zeros((2, 2))
         want[1, 0] = lower
-        assert_allclose(kmap.terms[1][1], want, atol=1e-15)
+        assert_allclose(kmap.ops[1], want, atol=1e-15)
 
     def test_completeness_on_grid(self):
         for r in R_GRID:
@@ -70,8 +71,40 @@ class TestUnruhKraus:
 
 class TestKrausMap:
     def test_rejects_empty_map(self):
-        with pytest.raises(ValueError, match="a Kraus map needs at least one term"):
-            KrausMap(())
+        with pytest.raises(ValueError) as info:
+            KrausMap([], [])
+        assert str(info.value) == "Kraus stack shape (0,) is not (k >= 1, d, d)"
+
+    @pytest.mark.parametrize("signs, ops, message", [
+        pytest.param([], np.zeros((0, 2, 2)),
+                     "Kraus stack shape (0, 2, 2) is not (k >= 1, d, d)",
+                     id="empty stack"),
+        pytest.param([1, 2], [np.eye(2)] * 2, "need 2 signs of +1 or -1, got [1, 2]",
+                     id="sign 2"),
+        pytest.param([1, 0.5], [np.eye(2)] * 2, "need 2 signs of +1 or -1, got [1.0, 0.5]",
+                     id="sign 0.5"),
+        pytest.param([1, -1, 1], [np.eye(2)] * 2,
+                     "need 2 signs of +1 or -1, got [1, -1, 1]", id="sign count"),
+        pytest.param([[1]], [np.eye(2)], "need 1 signs of +1 or -1, got [[1]]",
+                     id="sign shape"),
+        pytest.param([1], np.ones((1, 2, 3)),
+                     "Kraus stack shape (1, 2, 3) is not (k >= 1, d, d)", id="non-square"),
+        pytest.param([1], np.eye(2), "Kraus stack shape (2, 2) is not (k >= 1, d, d)",
+                     id="one matrix"),
+        pytest.param([1, 1], [np.eye(2), np.eye(3)],
+                     "Kraus operators do not stack into one array", id="mixed dimension"),
+    ])
+    def test_input_messages(self, signs, ops, message):
+        with pytest.raises(ValueError) as info:
+            KrausMap(signs, ops)
+        assert str(info.value) == message
+
+    def test_fields_are_a_sign_vector_and_an_operator_stack(self):
+        assert [f.name for f in dataclasses.fields(KrausMap)] == ["signs", "ops"]
+        kmap = KrausMap([1.0, -1.0], [np.eye(2), np.zeros((2, 2))])
+        assert kmap.signs.dtype == int and kmap.signs.tolist() == [1, -1]
+        assert kmap.ops.dtype == complex and kmap.ops.shape == (2, 2, 2)
+        assert kmap.dim == 2 and kmap.is_signed
 
 
 class TestApply:
@@ -121,7 +154,7 @@ class TestApply:
 
 class TestApplyToSecond:
     def test_identity_map(self):
-        ident = KrausMap(((1, np.eye(2)),))
+        ident = KrausMap([1], [np.eye(2)])
         assert_allclose(apply_to_second(ident, BELL_PROJECTOR), BELL_PROJECTOR)
 
     def test_channel_on_half_pair_gives_shared_state(self):
@@ -145,12 +178,12 @@ class TestApplyToSecond:
     def test_ordering_against_index_oracle(self):
         # row index 2 * a + b: a labels the first qubit, b the second
         rng = np.random.default_rng(12)
-        kmap = KrausMap(((1, random_cptp_map(rng).terms[0][1]),
-                         (-1, random_cptp_map(rng).terms[1][1])))
+        kmap = KrausMap([1, -1], [random_cptp_map(rng).ops[0],
+                                  random_cptp_map(rng).ops[1]])
         rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         got = apply_to_second(kmap, rho)
         want = np.zeros((4, 4), dtype=complex)
-        for sign, op in kmap.terms:
+        for sign, op in zip(kmap.signs, kmap.ops):
             for a, b, c, d, bb, dd in np.ndindex(2, 2, 2, 2, 2, 2):
                 want[2 * a + b, 2 * c + d] += (
                     sign * op[b, bb] * rho[2 * a + bb, 2 * c + dd]
@@ -159,7 +192,7 @@ class TestApplyToSecond:
         assert_allclose(got, want, atol=1e-12)
 
     def test_map_of_wrong_dimension_names_the_shapes(self):
-        kmap = KrausMap(((1, np.eye(3)),))
+        kmap = KrausMap([1], [np.eye(3)])
         with pytest.raises(ValueError, match=r"state shape \(4, 4\) does not "
                            r"match map dimension 9"):
             apply_to_second(kmap, BELL_PROJECTOR)
@@ -167,7 +200,7 @@ class TestApplyToSecond:
 
 class TestChoiMatrix:
     def test_identity_channel(self):
-        ident = KrausMap(((1, np.eye(2)),))
+        ident = KrausMap([1], [np.eye(2)])
         assert_allclose(choi_matrix(ident).matrix, BELL_PROJECTOR, atol=1e-14)
 
     def test_unruh_matrix_entries(self):
@@ -197,22 +230,22 @@ class TestChoiMatrix:
 
 class TestKrausFromChoi:
     def test_identity(self):
-        ident = KrausMap(((1, np.eye(2)),))
+        ident = KrausMap([1], [np.eye(2)])
         got = kraus_from_choi(choi_matrix(ident))
-        assert len(got.terms) == 1
-        sign, op = got.terms[0]
+        assert len(got.ops) == 1
+        sign, op = got.signs[0], got.ops[0]
         assert sign == 1
         assert_allclose(op, np.eye(2), atol=1e-12)
 
     def test_unruh_extraction_is_exact(self):
         for r in R_GRID[1:]:
             got = kraus_from_choi(choi_matrix(unruh_kraus(r)))
-            assert len(got.terms) == 2
-            assert_allclose(got.terms[0][1], np.diag([np.cos(r), 1.0]),
+            assert len(got.ops) == 2
+            assert_allclose(got.ops[0], np.diag([np.cos(r), 1.0]),
                             atol=1e-10)
             want = np.zeros((2, 2))
             want[1, 0] = np.sin(r)
-            assert_allclose(got.terms[1][1], want, atol=1e-10)
+            assert_allclose(got.ops[1], want, atol=1e-10)
 
     def test_roundtrip_on_random_cptp_maps(self):
         rng = np.random.default_rng(19)
@@ -243,7 +276,7 @@ class TestIsCp:
         assert verdict.min_eigenvalue == pytest.approx(-1 / 6, abs=1e-12)
 
     def test_identity_is_cp(self):
-        ident = KrausMap(((1, np.eye(2)),))
+        ident = KrausMap([1], [np.eye(2)])
         verdict = is_cp(choi_matrix(ident))
         assert verdict.is_cp
         assert verdict.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
@@ -322,7 +355,7 @@ class TestCompose:
                 assert_allclose(apply(cancel, rho), rho, atol=1e-10)
 
     def test_dimension_mismatch(self):
-        big = KrausMap(((1, np.eye(4)),))
+        big = KrausMap([1], [np.eye(4)])
         with pytest.raises(ValueError):
             compose(big, unruh_kraus(0.1))
 
@@ -335,13 +368,13 @@ class TestInverseUnruh:
 
     def test_operator_entries(self):
         inv = inverse_unruh(np.pi / 6)
-        assert inv.terms[0][0] == 1
-        assert inv.terms[1][0] == -1
-        assert_allclose(inv.terms[0][1], np.diag([2 / np.sqrt(3), 1.0]),
+        assert inv.signs[0] == 1
+        assert inv.signs[1] == -1
+        assert_allclose(inv.ops[0], np.diag([2 / np.sqrt(3), 1.0]),
                         atol=1e-14)
         want = np.zeros((2, 2))
         want[1, 0] = np.tan(np.pi / 6)
-        assert_allclose(inv.terms[1][1], want, atol=1e-14)
+        assert_allclose(inv.ops[1], want, atol=1e-14)
 
     def test_signed_completeness_on_grid(self):
         for r in R_GRID:

@@ -18,8 +18,11 @@ from hypothesis.extra.numpy import arrays
 from rindler.channels import (
     KrausMap,
     amplitude_damping,
+    _roundoff,
     apply,
+    apply_to_second,
     choi_matrix,
+    completeness_defect,
     compose,
     inverse_unruh,
     is_cp,
@@ -87,7 +90,7 @@ def cptp_maps(draw):
     a = parts[0] + 1j * parts[1]
     assume(np.linalg.matrix_rank(a, tol=1e-3) == 2)
     v, _ = np.linalg.qr(a)
-    return KrausMap(tuple((1, v[2 * i:2 * i + 2]) for i in range(k)))
+    return KrausMap(np.ones(k, dtype=int), v.reshape(k, 2, 2))
 
 
 # qmid is left out: its dephasing basis falls back to the computational one
@@ -205,15 +208,17 @@ def test_inverse_undoes_the_channel(rho, r):
 
 # Equal-weight mixtures of distinct Paulis: their Choi spectra have exact
 # ties, so the solve's lexsort tie-break orders the extracted operators.
+PAULI_STACK = np.array(_SIGMAS)
 pauli_mixtures = st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True).map(
-    lambda idx: KrausMap(tuple((1, _SIGMAS[i] / np.sqrt(len(idx))) for i in idx)))
+    lambda idx: KrausMap(np.ones(len(idx), dtype=int),
+                         PAULI_STACK[idx] / np.sqrt(len(idx))))
 
 
 @settings(PROPERTY, max_examples=120)
 @given(kmap=st.one_of(cptp_maps(), pauli_mixtures))
-@example(kmap=KrausMap(((1, _SIGMAS[0] / np.sqrt(2)), (1, _SIGMAS[0] / np.sqrt(2)))))
-@example(kmap=KrausMap(((1, _SIGMAS[0] / np.sqrt(2)), (1, _SIGMAS[3] / np.sqrt(2)))))
-@example(kmap=KrausMap(tuple((1, s / 2) for s in _SIGMAS)))
+@example(kmap=KrausMap([1, 1], PAULI_STACK[[0, 0]] / np.sqrt(2)))
+@example(kmap=KrausMap([1, 1], PAULI_STACK[[0, 3]] / np.sqrt(2)))
+@example(kmap=KrausMap([1, 1, 1, 1], PAULI_STACK / 2))
 def test_choi_kraus_choi_round_trip(kmap):
     choi = choi_matrix(kmap)
     back = kraus_from_choi(choi)
@@ -222,7 +227,7 @@ def test_choi_kraus_choi_round_trip(kmap):
     # The roundoff floor 4 eps max|lam| sits above the solve's error on the
     # zero modes of a CP map, so neither judgement calls it NCP.
     assert is_cp(choi).is_cp
-    assert all(sign == 1 for sign, _ in back.terms)
+    assert (back.signs == 1).all()
 
 
 def dephased_by_projectors(rho):
@@ -287,8 +292,8 @@ def choi_by_basis(kmap):
 def signed_maps(draw):
     k = draw(st.integers(1, 4))
     parts = draw(arrays(np.float64, (2, k, 2, 2), elements=entries | free_entries))
-    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
-    return KrausMap(tuple(zip(signs, parts[0] + 1j * parts[1])))
+    signs = draw(arrays(np.int64, k, elements=st.sampled_from([1, -1])))
+    return KrausMap(signs, parts[0] + 1j * parts[1])
 
 
 channel_maps = st.builds(
@@ -304,6 +309,72 @@ def test_choi_matrix_equals_the_basis_construction(kmap):
     got = choi_matrix(kmap).matrix
     want = choi_by_basis(kmap) / 2.0
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# The per-term loops that the stacked channel algebra replaced, kept as its
+# bitwise reference: Python sums from 0 in term order, one matrix at a time.
+def _terms(kmap):
+    return list(zip(kmap.signs.tolist(), kmap.ops))
+
+
+def apply_by_terms(terms, rho):
+    return sum(sign * (op @ rho @ op.conj().T) for sign, op in terms)
+
+
+def completeness_by_terms(terms):
+    acc = sum(sign * (op.conj().T @ op) for sign, op in terms)
+    return float(np.max(np.abs(acc - np.eye(len(acc)))))
+
+
+def compose_by_terms(outer, inner):
+    return [(so * si, ko @ ki) for so, ko in _terms(outer) for si, ki in _terms(inner)]
+
+
+def choi_by_terms(terms):
+    m = np.zeros((4, 4), dtype=complex)
+    for sign, op in terms:
+        v = op.reshape(4, order="F")
+        m += sign * np.outer(v, v.conj())
+    return m / 2.0
+
+
+def kraus_by_terms(choi):
+    dec = _jacobi(2.0 * choi.matrix)
+    floor = _roundoff(dec.eigenvalues)
+    terms = []
+    for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
+        if abs(lam) > floor:
+            terms.append((1 if lam > 0 else -1,
+                          (np.sqrt(abs(lam)) * vec).reshape(2, 2, order="F")))
+    return terms
+
+
+def assert_same_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def assert_same_terms(kmap, terms):
+    assert kmap.signs.tolist() == [sign for sign, _ in terms]
+    assert_same_bits(kmap.ops, [op for _, op in terms])
+
+
+@PROPERTY
+@given(kmap=st.one_of(signed_maps(), channel_maps), inner=signed_maps(),
+       parts=arrays(np.float64, (2, 4, 4), elements=entries | free_entries))
+def test_stacked_algebra_equals_the_per_term_loops(kmap, inner, parts):
+    # Bit for bit, signed zeros included, on one and on two qubits.
+    rho = parts[0] + 1j * parts[1]
+    lifted = [(sign, np.kron(np.eye(2), op)) for sign, op in _terms(kmap)]
+    assert_same_bits(apply(kmap, rho[:2, :2]), apply_by_terms(_terms(kmap), rho[:2, :2]))
+    assert_same_bits(apply_to_second(kmap, rho), apply_by_terms(lifted, rho))
+    assert_same_bits(completeness_defect(kmap), completeness_by_terms(_terms(kmap)))
+    assert_same_terms(compose(kmap, inner), compose_by_terms(kmap, inner))
+    choi = choi_matrix(kmap)
+    assert_same_bits(choi.matrix, choi_by_terms(_terms(kmap)))
+    if kraus_by_terms(choi):
+        assert_same_terms(kraus_from_choi(choi), kraus_by_terms(choi))
 
 
 @PROPERTY

@@ -244,6 +244,22 @@ class TestSqrtPsd:
         with pytest.raises(ValueError, match="not PSD"):
             sqrt_psd(np.diag([1.0, np.nextafter(-1e-8, -1.0)]))
 
+    def test_stack_equals_the_roots_one_at_a_time(self):
+        rng = np.random.default_rng(17)
+        for n in (2, 4):
+            stack = np.stack([random_psd(rng, n) for _ in range(5)] + [np.eye(n)])
+            want = np.stack([sqrt_psd(m) for m in stack])
+            assert np.array_equal(sqrt_psd(stack).view(np.int64), want.view(np.int64))
+
+    # The first matrix whose least eigenvalue is below -1e-8 is named.
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_stack_names_the_first_non_psd_matrix(self, bad):
+        stack = np.stack([np.diag([1.0, 0.5])] * 4)
+        stack[bad], stack[3] = np.diag([1.0, -0.25]), np.diag([1.0, -0.5])
+        with pytest.raises(ValueError) as info:
+            sqrt_psd(stack)
+        assert str(info.value) == "matrix is not PSD, eigenvalue -0.25"
+
 
 class TestEntropy:
     def test_pure_state(self):
@@ -324,7 +340,8 @@ def _lopsided(n):
     return m
 
 
-# Every Hermitian-input check shares one rule; each caller names its input.
+# Every Hermitian-input check shares one rule; each caller names its input,
+# as von_neumann_entropy does when handed a stack.
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -339,6 +356,9 @@ def _lopsided(n):
                      "Choi matrix is not Hermitian within 1e-10", id="ChoiMatrix"),
         pytest.param(lambda: eig_hermitian(np.ones((3, 4))),
                      "expected a square matrix, got shape (3, 4)", id="square"),
+        pytest.param(lambda: von_neumann_entropy(np.stack([IDENTITY_2 / 2] * 2)),
+                     "entropy input must be one matrix, got shape (2, 2, 2)",
+                     id="entropy of a stack"),
     ],
 )
 def test_input_check_messages(call, message):

@@ -13,12 +13,12 @@ measure shows eigenvector bits. Then `teleport_fidelity_mc` of each state,
 seeded with its index, with 1 to 10^5 samples (`MC_SAMPLES`). Last, the
 channel code at an angle r_i running over [0, pi/4] with the index i:
 `apply_to_second` of `unruh_kraus(r_i)` and of `inverse_unruh(r_i)` on each
-state, the signed operators of `amplitude_damping(sin^2 r_i)`, and
-`image_of_pure(theta_i, phi_i, r_i)` at a point of the sphere per state
-(`SPHERE_ANGLES`: both poles, theta = pi + 1e-12 and the equator, each at
-phi = 0 and just below 2 pi, on the eight states nearest r = 0 and the
-eight nearest pi/4; seeded points between). Dump the corpus on two source
-trees and compare:
+state, `zip(signs, ops)` of `amplitude_damping(sin^2 r_i)` (sign, operator,
+sign, operator), and `image_of_pure(theta_i, phi_i, r_i)` at a point of the
+sphere per state (`SPHERE_ANGLES`: both poles, theta = pi + 1e-12 and the
+equator, each at phi = 0 and just below 2 pi, on the eight states nearest
+r = 0 and the eight nearest pi/4; seeded points between). Dump the corpus on
+two source trees and compare:
 
     python tools/cli_corpus.py dump before.jsonl --src /path/to/old/src
     python tools/cli_corpus.py dump after.jsonl
@@ -239,6 +239,11 @@ def _sphere_angles() -> list[tuple[float, float]]:
 SPHERE_ANGLES = _sphere_angles()
 
 
+def _damping_terms(rindler, rho, i):
+    kmap = rindler.amplitude_damping(math.sin(_angle(i)) ** 2)
+    return [x for term in zip(kmap.signs, kmap.ops) for x in term]
+
+
 # Each function takes the package, the state and its index.
 LIB_FUNCTIONS = {
     "measure_report": lambda rindler, rho, i: rindler.measure_report(rho),
@@ -253,9 +258,7 @@ LIB_FUNCTIONS = {
         rindler.apply_to_second(rindler.unruh_kraus(_angle(i)), rho)],
     "apply_to_second inverse_unruh": lambda rindler, rho, i: [
         rindler.apply_to_second(rindler.inverse_unruh(_angle(i)), rho)],
-    "amplitude_damping": lambda rindler, rho, i: [
-        x for term in rindler.amplitude_damping(math.sin(_angle(i)) ** 2).terms
-        for x in term],
+    "amplitude_damping": _damping_terms,
     "image_of_pure": lambda rindler, rho, i: rindler.image_of_pure(
         *SPHERE_ANGLES[i], _angle(i)),
 }
