@@ -17,9 +17,9 @@ from .qmat import _dag, _hermitian, _jacobi
 from .unruh import _check_angle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausMap:
-    """Signed operator-sum representation of a Hermitian qubit map."""
+    """Signed operator-sum form of a Hermitian qubit map; == is identity."""
 
     signs: np.ndarray
     ops: np.ndarray
@@ -46,9 +46,9 @@ class KrausMap:
         return bool((self.signs < 0).any())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
-    """4x4 dual matrix of a qubit map, with trace 1 for a trace-preserving map."""
+    """4x4 dual matrix of a qubit map, of trace 1 if it preserves trace; == is identity."""
 
     matrix: np.ndarray
 

@@ -29,6 +29,8 @@ SWEEP_HEADER = "a,r,bell_half,concurrence,f_max,qmid"
 _FIELDS = SWEEP_HEADER.split(",")
 CSV_ROW = ",".join(["%.12g"] * len(_FIELDS)) + "\n"
 JSON_ROW = "  {\n" + ",\n".join(f'    "{f}": %s' for f in _FIELDS) + "\n  }"
+# Most rows, grid points or quadrature steps: numpy cannot size 256 bytes each past it.
+MAX_COUNT = sys.maxsize // 256
 QMID_NOTE = (
     "# qmid convention: degenerate marginal eigenbases fall back to the"
     " computational basis"
@@ -136,13 +138,14 @@ def cmd_sweep(args) -> int:
         return _usage(f"--a-max must be finite and exceed --a-min, got {args.a_max}")
     if args.steps < 2:
         return _usage(f"--steps must be >= 2, got {args.steps}")
+    if args.steps > MAX_COUNT:
+        return _usage(f"--steps must be <= {MAX_COUNT}, got {args.steps}")
     if not 0 < args.omega < np.inf:
         return _usage(f"--omega must be positive and finite, got {args.omega}")
 
-    if args.scale == "log":
-        grid = np.geomspace(args.a_min, args.a_max, args.steps)
-    else:
-        grid = np.linspace(args.a_min, args.a_max, args.steps)
+    with np.errstate(over="ignore"):  # geomspace overflows on a last point set to a_max
+        grid = (np.geomspace if args.scale == "log" else np.linspace)(
+            args.a_min, args.a_max, args.steps)
 
     # r, the states and the measures each come in one pass over all rows.
     r = np.arccos(cos_r(grid, args.omega))
@@ -200,6 +203,9 @@ def cmd_geometry(args) -> int:
         )
     if args.steps < 100:
         return _usage(f"--steps must be >= 100 for the quadrature, got {args.steps}")
+    if args.n_theta * args.n_phi > MAX_COUNT or args.steps > MAX_COUNT:
+        return _usage(f"--n-theta * --n-phi and --steps must be <= {MAX_COUNT},"
+                      f" got {args.n_theta} * {args.n_phi} and {args.steps}")
 
     # One NUL-padded row a point after the header, x and y apart (half the temporaries);
     # translate drops the NULs, in about 0.6 the time of flat[flat != 0].
@@ -221,50 +227,67 @@ def cmd_geometry(args) -> int:
     return 0
 
 
+# Each subcommand: its function, its help and its options, each
+# (flag, type or choices, default[, help]); a default of ... marks a required flag.
+COMMANDS = {
+    "sweep": (cmd_sweep, "tabulate measures against acceleration", [
+        ("--omega", float, 0.1), ("--a-min", float, 0.05), ("--a-max", float, 50.0),
+        ("--steps", int, 200), ("--scale", ("log", "linear"), "log"),
+        ("--format", ("csv", "json"), "csv"), ("--out", str, None)]),
+    "channel": (cmd_channel, "Choi/Kraus data at one angle", [
+        ("--r", float, None), ("--a", float, None), ("--omega", float, 0.1),
+        ("--mode", ("choi", "kraus", "invert"), "kraus"), ("--out", str, None)]),
+    "geometry": (cmd_geometry, "sample the image spheroid", [
+        ("--r", float, ...), ("--n-theta", int, 50), ("--n-phi", int, 50),
+        ("--steps", int, 10000, "Simpson subintervals for the volume quadrature"),
+        ("--out", str, None)]),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared by every call."""
+    """The command-line parser, built from COMMANDS once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="rindler",
         description="Acceleration-induced qubit noise: sweeps, channel data,"
         " Bloch geometry",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sweep = sub.add_parser("sweep", help="tabulate measures against acceleration")
-    sweep.add_argument("--omega", type=float, default=0.1)
-    sweep.add_argument("--a-min", type=float, default=0.05)
-    sweep.add_argument("--a-max", type=float, default=50.0)
-    sweep.add_argument("--steps", type=int, default=200)
-    sweep.add_argument("--scale", choices=("log", "linear"), default="log")
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.add_argument("--out", default=None)
-    sweep.set_defaults(func=cmd_sweep)
-
-    channel = sub.add_parser("channel", help="Choi/Kraus data at one angle")
-    channel.add_argument("--r", type=float, default=None)
-    channel.add_argument("--a", type=float, default=None)
-    channel.add_argument("--omega", type=float, default=0.1)
-    channel.add_argument("--mode", choices=("choi", "kraus", "invert"),
-                         default="kraus")
-    channel.add_argument("--out", default=None)
-    channel.set_defaults(func=cmd_channel)
-
-    geom = sub.add_parser("geometry", help="sample the image spheroid")
-    geom.add_argument("--r", type=float, required=True)
-    geom.add_argument("--n-theta", type=int, default=50)
-    geom.add_argument("--n-phi", type=int, default=50)
-    geom.add_argument("--steps", type=int, default=10000,
-                      help="Simpson subintervals for the volume quadrature")
-    geom.add_argument("--out", default=None)
-    geom.set_defaults(func=cmd_geometry)
+    for name, (func, help_text, options) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(func=func)
+        for flag, kind, default, *text in options:
+            kwargs = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            cmd.add_argument(flag, default=None if default is ... else default,
+                             required=default is ..., help=(text or [None])[0], **kwargs)
     return parser
 
 
+def _table_args(argv):
+    """parse_args(argv) read off COMMANDS, for a list or tuple of a subcommand, then exact
+    `--flag value` pairs, valid, none starting with '-', all required flags; else None."""
+    if (not isinstance(argv, (list, tuple)) or len(argv) % 2 == 0
+            or not all(isinstance(a, str) for a in argv) or argv[0] not in COMMANDS):
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    kinds = {flag: kind for flag, kind, *_ in options}
+    values = {flag[2:].replace("-", "_"): default for flag, _, default, *_ in options}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        kind = kinds.get(flag, ())  # an unknown flag has no choices
+        if text.startswith("-") or isinstance(kind, tuple) and text not in kind:
+            return None
+        try:
+            values[flag[2:].replace("-", "_")] = kind(text) if callable(kind) else text
+        except ValueError:
+            return None
+    return None if ... in values.values() else argparse.Namespace(
+        command=argv[0], func=func, **values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = _table_args(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = args or build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -9,6 +9,7 @@ and von Neumann entropy.
 from __future__ import annotations
 
 import functools
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -56,8 +57,9 @@ def _hermitian(m: np.ndarray, name: str) -> np.ndarray:
 
 
 def _whole(x, least: int, what: str) -> int:
-    if not (np.isfinite(x) and x >= least and x == int(x)):
-        raise ValueError(f"{what} must be a whole number >= {least}, got {x!r}")
+    if not (least <= x <= sys.maxsize and x == int(x)):  # numpy's longest array
+        raise ValueError(
+            f"{what} must be a whole number >= {least} and <= {sys.maxsize}, got {x!r}")
     return int(x)
 
 

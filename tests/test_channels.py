@@ -107,6 +107,20 @@ class TestKrausMap:
         assert kmap.dim == 2 and kmap.is_signed
 
 
+# Maps hold ndarray fields, so == is identity and the hash is the default one:
+# equal-valued maps are distinct, and either class can key a dict or join a set.
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: unruh_kraus(0.3), id="KrausMap"),
+    pytest.param(lambda: choi_matrix(unruh_kraus(0.3)), id="ChoiMatrix"),
+])
+def test_equality_is_identity(make):
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and hash(a) != hash(b)
+    assert a in {a} and b not in {a} and len({a, b, a}) == 2
+
+
 class TestApply:
     def test_pure_state_action_matches_display(self):
         # input with off-diagonal e^{+i phi} cos(t/2) sin(t/2); the output

@@ -124,6 +124,16 @@ class TestSweep:
         assert err == ""
         assert [line.split(",")[1] for line in out.splitlines()[2:]] == ["0"] * 3
 
+    def test_overflowing_log_grid_writes_no_warning(self, capsys):
+        # geomspace overflows on its last point and then sets it to a_max; the golden
+        # is the parent's stdout, recorded outside pytest (which makes the warning
+        # an error).
+        assert main(["sweep", "--a-min", "1", "--a-max", "1.7976931348623157e308",
+                     "--steps", "4"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.encode() == (GOLDEN / "sweep_a_max_overflow.csv").read_bytes()
+
     def test_linear_scale(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main([
@@ -438,6 +448,31 @@ class TestGeometry:
         assert out == "" and "error" in err
 
 
+# Counts numpy refuses to size before it allocates anything (2^64, and 2^63 - 1
+# rows): a usage error naming the option, before any output. A count numpy would
+# try to allocate is never run.
+BIG, TOO_BIG = 2**63 - 1, 2**64
+GRID_LIMIT = f"--n-theta * --n-phi and --steps must be <= {cli.MAX_COUNT}, got"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--steps", str(TOO_BIG)],
+     f"--steps must be <= {cli.MAX_COUNT}, got {TOO_BIG}"),
+    (["sweep", "--steps", str(BIG)], f"--steps must be <= {cli.MAX_COUNT}, got {BIG}"),
+    (["sweep", "--steps", str(BIG), "--scale", "linear"],
+     f"--steps must be <= {cli.MAX_COUNT}, got {BIG}"),
+    (["geometry", "--r", "0.3", "--n-theta", str(TOO_BIG)],
+     f"{GRID_LIMIT} {TOO_BIG} * 50 and 10000"),
+    (["geometry", "--r", "0.3", "--n-phi", str(TOO_BIG)],
+     f"{GRID_LIMIT} 50 * {TOO_BIG} and 10000"),
+    (["geometry", "--r", "0.3", "--steps", str(TOO_BIG)],
+     f"{GRID_LIMIT} 50 * 50 and {TOO_BIG}"),
+])
+def test_counts_numpy_cannot_size_are_usage_errors(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "sweep" in capsys.readouterr().out
@@ -555,3 +590,36 @@ def test_parser_reuse_leaks_no_state(capsys):
     assert "usage" in first[("sweep", "--steps", "x")][1]
     assert "sweep" in first[("--help",)][0]
     assert cli.build_parser.cache_info().misses == 1
+
+
+# The argv shapes perfbench sends: every flag of a sweep, channel calls by angle
+# and by acceleration, geometry grids, each with or without --out.
+BENCH_ARGV = [
+    ["sweep", "--omega", "0.1234", "--a-min", "0.05", "--a-max", "12.5", "--steps", "37",
+     "--scale", "linear", "--format", "json", "--out", "sweep.out"],
+    ["sweep", "--steps", "5", "--out", "sweep.out"],
+    *(["channel", "--r", "0.3", "--mode", mode] for mode in ("kraus", "choi", "invert")),
+    ["channel", "--a", "4.6", "--omega", "0.1", "--mode", "invert"],
+    ["geometry", "--r", "0.3", "--n-theta", "10", "--n-phi", "10", "--out", "g.out"],
+]
+
+
+@pytest.mark.parametrize("argv", [*GOLDEN_CASES.values(), GEOMETRY_ARGV,
+                                  *GEOMETRY_GRIDS.values(), *BENCH_ARGV])
+def test_well_formed_argv_take_the_table_path(argv):
+    args = cli._table_args(argv)
+    assert args is not None
+    assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_a_well_formed_call_builds_no_parser(capsys):
+    cli.build_parser.cache_clear()
+    assert main(GOLDEN_CASES["channel_kraus_r0.3.txt"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "channel_kraus_r0.3.txt").read_text()
+    assert cli.build_parser.cache_info().misses == 0
+
+
+def test_argv_of_any_iterable_is_parsed(capsys):
+    # A generator is no list or tuple, so argparse reads it, as it always has.
+    assert main(iter(GOLDEN_CASES["channel_kraus_r0.3.txt"])) == 0
+    assert capsys.readouterr().out == (GOLDEN / "channel_kraus_r0.3.txt").read_text()

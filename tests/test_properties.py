@@ -9,6 +9,9 @@ spectrum floors act, come up often. The stack test also draws free
 floats in [-1, 1], subnormal entries included.
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,7 +32,7 @@ from rindler.channels import (
     kraus_from_choi,
     unruh_kraus,
 )
-from rindler.cli import _cells_12g
+from rindler.cli import COMMANDS, _cells_12g, _table_args, build_parser
 from rindler.correlations import (
     _BELL_OUTCOMES,
     _PAULI_BASIS,
@@ -445,3 +448,74 @@ def test_cells_12g_rebuild_the_12g_text(x):
     # Each 20-byte cell, NULs dropped, is ',' + '%.12g' % x.
     cells = _cells_12g(np.array(x))
     assert [bytes(c[c != 0]).decode() for c in cells] == ["," + "%.12g" % v for v in x]
+
+
+ALL_OPTIONS = [option for _, _, options in COMMANDS.values() for option in options]
+ALL_FLAGS = sorted({flag for flag, *_ in ALL_OPTIONS})
+CHOICES = sorted({c for _, kind, *_ in ALL_OPTIONS if isinstance(kind, tuple) for c in kind})
+ODD_VALUES = ["nan", "inf", "-0", "-0.1", "-1e-3", "", "cubic", *CHOICES, *ALL_FLAGS]
+
+
+def _valid_text(kind):
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    if kind is int:
+        return st.integers(0, 10**4).map(str)
+    if kind is float:
+        return st.one_of(st.floats(0.0, 100.0).map(repr),
+                         st.sampled_from(["5e-324", "1e308"]))
+    return st.sampled_from(["out.txt", "x"])
+
+
+@st.composite
+def cli_argv(draw):
+    # A subcommand or another token, then pairs: an exact flag, a prefix of one,
+    # --help, --seed or --flag=value, followed by a value valid for the flag, nan,
+    # inf, a negative, a choice, a non-choice, "" or a flag. Flags and values
+    # repeat, and an odd token may trail. Half the draws keep to exact flags and
+    # valid values, the form the table path reads.
+    sub = draw(st.sampled_from([*COMMANDS] * 3 + ["nosuch", "--help", ""]))
+    options = COMMANDS[sub][2] if sub in COMMANDS else ALL_OPTIONS
+    clean = draw(st.booleans())
+    argv = [sub]
+    for _ in range(draw(st.integers(0, 6))):
+        flag, kind, *_ = draw(st.sampled_from(options))
+        value = draw(_valid_text(kind) if clean else st.one_of(  # valid 2 times in 3
+            _valid_text(kind), _valid_text(kind), st.sampled_from(ODD_VALUES)))
+        form = "exact" if clean else draw(
+            st.sampled_from(["exact"] * 4 + ["prefix", "help", "seed", "="]))
+        if form == "prefix":
+            flag = flag[:draw(st.integers(2, len(flag) - 1))]
+        elif form in ("help", "seed"):
+            flag = "--" + form
+        elif form == "=":
+            flag = f"{flag}={draw(_valid_text(kind))}"
+        argv += [flag, value]
+    if not clean and draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["3", *ODD_VALUES])))
+    return argv
+
+
+def _parsed(argv):
+    # build_parser().parse_args(argv) as the repr of each attribute (NaN equals
+    # NaN, -0.0 differs from 0.0), or None where argparse exits.
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            args = build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+    return {k: repr(v) for k, v in vars(args).items()}
+
+
+@settings(PROPERTY, max_examples=600)
+@given(argv=cli_argv())
+@example(argv=["sweep", "--out", "--steps", "3"])
+@example(argv=["sweep", "--out", "--steps", "--steps", "3"])
+@example(argv=["channel", "--r", "-1e-3"])
+@example(argv=["geometry", "--n-theta", "3"])
+@example(argv=["geometry", "--r", "nan", "--steps", "100", "--r", "0.3"])
+def test_table_path_equals_argparse(argv):
+    # The table path reads argv as argparse does, or leaves it to argparse.
+    got = _table_args(argv)
+    if got is not None:
+        assert {k: repr(v) for k, v in vars(got).items()} == _parsed(argv)

@@ -1,10 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from rindler import qmat
 from rindler.channels import ChoiMatrix
-from rindler.correlations import measure_report
+from rindler.correlations import measure_report, teleport_fidelity_mc
+from rindler.geometry import spheroid_report, surface_grid
 from rindler.qmat import (
     IDENTITY_2,
     JacobiConvergenceError,
@@ -19,6 +22,7 @@ from rindler.qmat import (
     validate_density_matrix,
     von_neumann_entropy,
 )
+from rindler.unruh import shared_state
 
 
 def random_hermitian(rng, n):
@@ -365,3 +369,24 @@ def test_input_check_messages(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# A count past sys.maxsize, the longest array numpy can index, fails in the count
+# check with its own ValueError, before anything is sized. Only 2^64 is drawn:
+# a count numpy would try to allocate is never run.
+@pytest.mark.parametrize(
+    "call, name, least",
+    [
+        pytest.param(lambda n: teleport_fidelity_mc(shared_state(0.3), n), "samples", 1,
+                     id="teleport_fidelity_mc"),
+        pytest.param(lambda n: spheroid_report(0.3, n), "integration_steps", 100,
+                     id="spheroid_report"),
+        pytest.param(lambda n: surface_grid(0.3, n, 2), "n_theta", 2, id="n_theta"),
+        pytest.param(lambda n: surface_grid(0.3, 2, n), "n_phi", 2, id="n_phi"),
+    ],
+)
+def test_counts_past_sys_maxsize_are_not_whole(call, name, least):
+    with pytest.raises(ValueError) as info:
+        call(2**64)
+    assert str(info.value) == (f"{name} must be a whole number >= {least} and"
+                               f" <= {sys.maxsize}, got 18446744073709551616")

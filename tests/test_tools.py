@@ -1,7 +1,8 @@
 """Smoke test of tools/cli_corpus.py, the byte-identity corpus.
 
-The corpus turns any library exception into an `error` record, so an API
-the tool calls could vanish without a dump failing; these checks catch it.
+The corpus turns any exception, of a library call or of a CLI run, into an
+`error` record, so an API the tool calls could vanish without a dump
+failing; these checks catch it.
 """
 
 import importlib.util
@@ -33,3 +34,15 @@ def test_out_file_keeps_its_line_ends(tmp_path):
         return 0
 
     assert cli_corpus._run(main, ["x"], tmp_path / "out")["file"] == "a\r\nb\rc\n"
+
+
+def test_a_crash_is_the_run_result(tmp_path):
+    def main(argv):
+        print("partial")
+        raise IndexError("index -1 is out of bounds")
+
+    rec = cli_corpus._run(main, ["x"], None)
+    assert (rec["rc"], rec["stdout"], rec["error"]) == (
+        None, "partial\n", "IndexError: index -1 is out of bounds")
+    assert "error" not in cli_corpus._run(lambda argv: 0, ["x"], tmp_path / "out")
+

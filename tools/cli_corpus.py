@@ -2,8 +2,9 @@
 
 Runs a fixed, seeded corpus of argv through `rindler.cli.main` in process
 and records, for every run, the exit code, stdout, stderr and the bytes of
-the `--out` file. Every argv that succeeds is run twice: once to stdout and
-once with `--out`. A library section records the `repr` of every
+the `--out` file; a run that raises records the exception's type and message
+as `error`, with `rc` null. Every argv that succeeds is run twice: once to
+stdout and once with `--out`. A library section records the `repr` of every
 `measure_report` field and every `dephased` entry for 300 seeded states,
 listed as `lib measure_report #17`, `lib dephased #17`: every sweep row is
 a shared state, so the CLI bytes do not see general-state values. It also
@@ -34,8 +35,10 @@ of the angle where the Choi roundoff floor is cleared, all channel modes at
 r = 5e-324 and invert at r = 1.9e-162 (where sin^2 r and tan^2 r / 2 are
 subnormal), a sweep at subnormal accelerations, geometry grids from 2x2 to
 200x200 (199x200 at r = 0 and pi/4; 2x200, 200x2 and 199x197 at r = 0, 0.3
-and pi/4; 31x29 at r = 5e-324 and 1.9e-162), and usage and I/O errors: 1248
-argv in 2454 runs, and 3000 library records.
+and pi/4; 31x29 at r = 5e-324 and 1.9e-162), usage and I/O errors, forms at
+the edge of the parser's table path (`TABLE_EDGES`), and an overflowing log
+grid and counts numpy cannot size (`LARGE_VALUES`): 1263 argv in 2475 runs,
+and 3000 library records.
 """
 
 from __future__ import annotations
@@ -115,6 +118,29 @@ USAGE_ERRORS = [
     ["geometry", "--r", "0.1", "--steps", "10"],
     ["geometry", "--r", "0.1", "--seed", "1"],
     ["geometry", "--r", "0.1", "--n-theta", "3", "--out", "/no/such/dir/p.csv"],
+]
+# Forms at the edge of the parser's table path: a repeated flag and an empty
+# --out stay on it; --flag=value, abbreviations, a value starting with '-', a
+# flag as a value, '--', -h and a missing value go to argparse.
+TABLE_EDGES = [
+    ["sweep", "--steps=5"],
+    ["geometry", "--r", "0.3", "--n-th", "4", "--n-p", "3"],
+    ["channel", "--r", "0.1", "--r", "0.2"],
+    ["channel", "--r", "-0"],
+    ["sweep", "--out", "--steps", "3"],
+    ["channel", "--", "--r", "0.3"],
+    ["geometry", "-h"],
+    ["channel", "--r", "0.3", "--out", ""],
+    ["sweep", "--steps"],
+]
+# A log grid whose last point overflows in geomspace, and counts numpy cannot
+# size (2^64, and 2^63 - 1 sweep rows); none is ever allocated.
+LARGE_VALUES = [
+    ["sweep", "--a-min", "1", "--a-max", "1.7976931348623157e308", "--steps", "4"],
+    *(["geometry", "--r", "0.3", flag, str(2**64)]
+      for flag in ("--n-theta", "--n-phi", "--steps")),
+    ["sweep", "--steps", str(2**64)],
+    ["sweep", "--steps", str(2**63 - 1)],
 ]
 
 
@@ -206,7 +232,7 @@ def corpus() -> list[list[str]]:
               for n_theta, n_phi in (("2", "200"), ("200", "2"), ("199", "197"))]
     cases += [["channel", "--r", r, "--mode", mode]
               for mode in ("kraus", "invert") for r in FLOOR_ANGLES]
-    return cases + SUBNORMAL + USAGE_ERRORS
+    return cases + SUBNORMAL + USAGE_ERRORS + TABLE_EDGES + LARGE_VALUES
 
 
 # Library states: A A^dag / Tr with a 4 x k complex A, k = 1..4 in turn,
@@ -298,16 +324,21 @@ def _lib_records(rindler):
 def _run(main, argv: list[str], out_path: Path | None) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     full = argv if out_path is None else argv + ["--out", str(out_path)]
+    error = None
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        rc = main(full)
+        try:
+            rc = main(full)
+        except Exception as exc:  # a crash is this run's result, not the dump's end
+            rc, error = None, f"{type(exc).__name__}: {exc}"
     data = None
     if out_path is not None and out_path.exists():
         # newline="": the file's own line ends, not read_text's translated ones.
         with open(out_path, newline="") as fh:
             data = fh.read()
         out_path.unlink()
-    return {"argv": argv, "to_file": out_path is not None, "rc": rc,
-            "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "file": data}
+    rec = {"argv": argv, "to_file": out_path is not None, "rc": rc,
+           "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "file": data}
+    return rec if error is None else {**rec, "error": error}
 
 
 def dump(dest: Path, src: Path) -> None:
