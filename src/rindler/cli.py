@@ -150,8 +150,9 @@ def cmd_sweep(args) -> int:
     # r, the states and the measures each come in one pass over all rows.
     r = np.arccos(cos_r(grid, args.omega))
     rep = measure_report(shared_state(r))
-    values = tuple(np.column_stack([grid, r, rep.bell_B / 2.0, rep.concurrence,
-                                    rep.f_max, rep.qmid]).ravel().tolist())
+    table = np.empty((len(r), 6))
+    table.T[:] = grid, r, rep.bell_B / 2.0, rep.concurrence, rep.f_max, rep.qmid
+    values = tuple(table.ravel().tolist())
 
     # One %-template over the whole table. JSON rounds each value through
     # %.12g and prints its float repr, the text json.dumps writes.

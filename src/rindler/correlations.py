@@ -26,7 +26,6 @@ from .qmat import (
     _jacobi,
     _psd_root,
     _whole,
-    partial_trace,
 )
 
 # Spectrum floor for the Wootters construction: eigenvalues this close
@@ -123,7 +122,7 @@ def _concurrence(rho: np.ndarray, dec: EigenDecomposition) -> np.ndarray:
     # The floor also makes +0 of any zero whose sign the reversals changed.
     lam = _jacobi(m, vectors=False).eigenvalues
     lam = np.where(np.abs(lam) < WOOTTERS_EIG_FLOOR, 0.0, lam)
-    vals = np.sqrt(np.clip(lam, 0.0, None))
+    vals = np.sqrt(np.maximum(lam, 0.0))
     c = vals[..., 0] - vals[..., 1] - vals[..., 2] - vals[..., 3]
     return np.where(c > 0.0, c, 0.0)
 
@@ -139,7 +138,7 @@ def concurrence(rho: np.ndarray) -> float:
 
 
 def _f_max(lam: np.ndarray) -> np.ndarray:
-    trace_root = np.sum(np.sqrt(np.clip(lam, 0.0, None)), axis=-1)
+    trace_root = np.add.reduce(np.sqrt(np.maximum(lam, 0.0)), -1)
     return 0.5 * (1.0 + trace_root / 3.0)
 
 
@@ -153,9 +152,13 @@ def f_max(rho: np.ndarray) -> float:
 
 
 def _information(rho: np.ndarray, dec: EigenDecomposition) -> tuple:
-    # I(rho) from its spectrum dec, S(A) + S(B), and the marginal spectra,
-    # A and B stacked on axis -3.
-    pair = _jacobi(np.stack([partial_trace(rho, [2, 2], t) for t in (1, 0)], axis=-3))
+    # I(rho) from its spectrum dec, S(A) + S(B), and the marginal spectra, A and B
+    # stacked on axis -3: rho[(i, j), (k, l)] traced over j = l, then over i = k.
+    lead = rho.shape[:-2]
+    r4, pair = rho.reshape(lead + (2, 2, 2, 2)), np.empty(lead + (2, 2, 2), complex)
+    r4.trace(0, -3, -1, out=pair[..., 0, :, :])
+    r4.trace(0, -4, -2, out=pair[..., 1, :, :])
+    pair = _jacobi(pair)
     s = _entropy(pair.eigenvalues)
     local = s[..., 0] + s[..., 1]
     return local - _entropy(dec.eigenvalues), local, pair
@@ -171,7 +174,7 @@ def _dephasing(rho: np.ndarray, spectra: EigenDecomposition) -> tuple:
     # basis on a degenerate side), and the dephased spectrum diag(U^dag rho U).
     lam, vecs = spectra
     flat = (np.abs(lam[..., 0] - lam[..., 1]) < DEGENERACY_GAP)[..., None, None]
-    basis = np.where(flat, np.eye(2, dtype=complex), vecs)
+    basis = np.where(flat, IDENTITY_2, vecs)
     a, b = basis[..., 0, :, :], basis[..., 1, :, :]
     u = (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(rho.shape)
     return u, (_dag(u) @ rho @ u).diagonal(axis1=-2, axis2=-1).real

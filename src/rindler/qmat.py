@@ -8,6 +8,7 @@ and von Neumann entropy.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import sys
 from typing import NamedTuple
@@ -51,16 +52,19 @@ def _hermitian(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.max(np.abs(m - _dag(m))) <= HERMITIAN_TOL:
+    if not m.size:
+        raise ValueError(f"expected a non-empty matrix or stack, got shape {m.shape}")
+    if not np.abs(m - _dag(m)).max() <= HERMITIAN_TOL:
         raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL}")
     return m
 
 
 def _whole(x, least: int, what: str) -> int:
-    if not (least <= x <= sys.maxsize and x == int(x)):  # numpy's longest array
-        raise ValueError(
-            f"{what} must be a whole number >= {least} and <= {sys.maxsize}, got {x!r}")
-    return int(x)
+    with contextlib.suppress(TypeError):  # a str, None or complex is no count either
+        if least <= x <= sys.maxsize and x == int(x):  # numpy's longest array
+            return int(x)
+    raise ValueError(
+        f"{what} must be a whole number >= {least} and <= {sys.maxsize}, got {x!r}")
 
 
 def partial_trace(rho: np.ndarray, dims: list[int], traced: int) -> np.ndarray:
@@ -99,10 +103,11 @@ def _unconverged(a: np.ndarray, live):
     n = a.shape[-1]
     sq = np.abs(a[live]).reshape(-1, n * n) ** 2
     sq[:, :: n + 1] = 0.0
-    keep = ~(np.sqrt(sq.sum(axis=-1)) <= 1e-13)
-    if keep.all():
+    keep = ~(np.sqrt(np.add.reduce(sq, 1)) <= 1e-13)
+    kept = np.count_nonzero(keep)  # an empty stack keeps none: it ends the solve
+    if kept == len(keep) > 0:
         return live
-    return np.arange(len(a))[live][keep] if keep.any() else None
+    return np.arange(len(a))[live][keep] if kept else None
 
 
 def _rotate(a: np.ndarray, v, live, p: int, q: int, eye) -> None:
@@ -112,9 +117,10 @@ def _rotate(a: np.ndarray, v, live, p: int, q: int, eye) -> None:
     g = a[live, p, q]
     absg = np.hypot(g.real, g.imag)
     turn = absg >= _TINY
-    if not turn.any():
+    turned = np.count_nonzero(turn)
+    if not turned:
         return
-    if not turn.all():
+    if turned < len(turn):
         live, g, absg = np.arange(len(a))[live][turn], g[turn], absg[turn]
     phase = (g / absg).conj()
     tau = (a[live, q, q].real - a[live, p, p].real) / (2.0 * absg)
@@ -122,8 +128,7 @@ def _rotate(a: np.ndarray, v, live, p: int, q: int, eye) -> None:
     np.negative(t, out=t, where=tau < 0)
     c = 1.0 / np.sqrt(1.0 + t * t)
     s = t * c
-    j = np.empty((len(g),) + eye.shape, dtype=complex)
-    j[:] = eye
+    j = eye[None].repeat(len(g), axis=0)
     j[:, p, p], j[:, p, q], j[:, q, p], j[:, q, q] = c, s, -s * phase, c * phase
     a[live] = _dag(j) @ a[live] @ j
     if v is not None:
@@ -190,7 +195,7 @@ def _jacobi(m: np.ndarray, vectors=True) -> EigenDecomposition:
         keys[-1], keys[-2::-2], keys[-3::-2] = -lam, w.real, w.imag
         order = np.lexsort(keys)
     else:  # As the sort above orders identity vectors: ties highest index first.
-        order = (n - 1) - np.argsort(-lam[:, ::-1], axis=-1, kind="stable")
+        order = (n - 1) - (-lam[:, ::-1]).argsort(axis=-1, kind="stable")
     if not vectors:
         return EigenDecomposition(lam[rows, order].reshape(m.shape[:-1]), None)
     lam, vecs = lam[rows, order], v[rows[:, None], cols[:, None], order[:, None]]
@@ -200,7 +205,7 @@ def _jacobi(m: np.ndarray, vectors=True) -> EigenDecomposition:
 def _floored(dec: EigenDecomposition, floor: float, what: str) -> EigenDecomposition:
     # dec, if no matrix's least eigenvalue is below floor; else name the first that is.
     low = dec.eigenvalues[..., -1]
-    if (low < floor).any():
+    if np.count_nonzero(low < floor):
         raise ValueError(f"{what} {low[low < floor][0]}")
     return dec
 
@@ -209,9 +214,9 @@ def _checked_eig(m: np.ndarray, name: str, vectors=True) -> EigenDecomposition:
     # Density-matrix checks of a matrix or a stack, naming its first bad one.
     m = _hermitian(m, name)
     # 1e-10 as HERMITIAN_TOL: above float and 12-digit-text trace errors.
-    tr = np.asarray(np.trace(m, axis1=-2, axis2=-1))
+    tr = np.asarray(m.trace(axis1=-2, axis2=-1))
     bad = np.hypot(tr.real - 1.0, tr.imag) > 1e-10
-    if bad.any():
+    if np.count_nonzero(bad):
         raise ValueError(f"{name} has trace {tr[bad][0]}, expected 1")
     return _floored(_jacobi(m, vectors), PSD_TOL, f"{name} has negative eigenvalue")
 
@@ -231,7 +236,7 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
 def _psd_root(dec: EigenDecomposition) -> np.ndarray:
     # V diag(root) V^dag: scaling the columns of V is the diagonal product.
     lam, vecs = dec
-    return (vecs * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]) @ _dag(vecs)
+    return (vecs * np.sqrt(np.maximum(lam, 0.0))[..., None, :]) @ _dag(vecs)
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -248,7 +253,7 @@ def _entropy(lam: np.ndarray) -> np.ndarray:
     # -sum(x log2 x) over the last axis, in order, skipping x <= 0.
     pos = lam > 0.0
     terms = np.where(pos, lam * np.log2(np.where(pos, lam, 1.0)), 0.0)
-    return functools.reduce(np.subtract, np.moveaxis(terms, -1, 0), 0.0)
+    return np.subtract.reduce(terms, -1, initial=0.0)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

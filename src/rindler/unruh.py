@@ -22,7 +22,7 @@ def cos_r(a: float, omega: float) -> float:
     monotonically from 1 (a -> 0) to 1/sqrt(2) (a -> infinity). An array
     of accelerations gives an array, each entry as for that a alone.
     """
-    if not (0 < np.min(a) and np.max(a) < np.inf):
+    if not (0 < np.minimum.reduce(a, None) and np.maximum.reduce(a, None) < np.inf):
         raise ValueError(f"acceleration must be positive and finite, got {a}")
     if not 0 < omega < np.inf:
         raise ValueError(f"mode frequency must be positive and finite, got {omega}")
@@ -54,7 +54,7 @@ class UnruhParams:
 def _check_angle(r: float) -> float:
     arr = np.asarray(r)
     bad = ~((0.0 <= arr) & (arr <= R_MAX + 1e-12))
-    if bad.any():
+    if np.count_nonzero(bad):
         raise ValueError(f"mixing angle {arr[bad][0]} outside [0, pi/4]")
     return arr if arr.ndim else float(arr)
 

@@ -9,8 +9,10 @@ spectrum floors act, come up often. The stack test also draws free
 floats in [-1, 1], subnormal entries included.
 """
 
+import functools
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,12 +35,18 @@ from rindler.channels import (
     unruh_kraus,
 )
 from rindler.cli import COMMANDS, _cells_12g, _table_args, build_parser
+from rindler import correlations, qmat
 from rindler.correlations import (
     _BELL_OUTCOMES,
     _PAULI_BASIS,
     _SIGMAS,
+    _YY_SIGNS,
     DEGENERACY_GAP,
+    WOOTTERS_EIG_FLOOR,
+    _concurrence,
     _dephasing,
+    _f_max,
+    _information,
     bell_B,
     concurrence,
     decompose,
@@ -49,7 +57,16 @@ from rindler.correlations import (
     qmid,
 )
 from rindler.geometry import image_of_pure, surface_grid
-from rindler.qmat import PAULIS, _jacobi, eig_hermitian, partial_trace
+from rindler.qmat import (
+    PAULIS,
+    EigenDecomposition,
+    _dag,
+    _entropy,
+    _jacobi,
+    _psd_root,
+    eig_hermitian,
+    partial_trace,
+)
 from rindler.unruh import shared_state
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -519,3 +536,183 @@ def test_table_path_equals_argparse(argv):
     got = _table_args(argv)
     if got is not None:
         assert {k: repr(v) for k, v in vars(got).items()} == _parsed(argv)
+
+
+# The sweep path calls numpy's C layer directly (ufunc reductions, ndarray
+# methods, np.count_nonzero). The forms it used before stay here as bitwise
+# references: np.clip at zero, the moveaxis entropy reduce, the stacked
+# partial_trace marginals and the .any()/.all() decisions of the solver.
+def entropy_reference(lam):
+    pos = lam > 0.0
+    terms = np.where(pos, lam * np.log2(np.where(pos, lam, 1.0)), 0.0)
+    return functools.reduce(np.subtract, np.moveaxis(terms, -1, 0), 0.0)
+
+
+def psd_root_reference(dec):
+    lam, vecs = dec
+    return (vecs * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]) @ _dag(vecs)
+
+
+def f_max_reference(lam):
+    return 0.5 * (1.0 + np.sum(np.sqrt(np.clip(lam, 0.0, None)), axis=-1) / 3.0)
+
+
+def concurrence_reference(rho, dec):
+    root = psd_root_reference(dec)
+    m = (((root[..., ::-1] * _YY_SIGNS) @ rho.conj())[..., ::-1] * _YY_SIGNS) @ root
+    lam = _jacobi(m, vectors=False).eigenvalues
+    lam = np.where(np.abs(lam) < WOOTTERS_EIG_FLOOR, 0.0, lam)
+    vals = np.sqrt(np.clip(lam, 0.0, None))
+    c = vals[..., 0] - vals[..., 1] - vals[..., 2] - vals[..., 3]
+    return np.where(c > 0.0, c, 0.0)
+
+
+def marginals_reference(rho):
+    return np.stack([partial_trace(rho, [2, 2], t) for t in (1, 0)], axis=-3)
+
+
+def information_reference(rho, dec):
+    pair = _jacobi(marginals_reference(rho))
+    s = entropy_reference(pair.eigenvalues)
+    local = s[..., 0] + s[..., 1]
+    return local - entropy_reference(dec.eigenvalues), local, pair
+
+
+def unconverged_reference(a, live):
+    n = a.shape[-1]
+    sq = np.abs(a[live]).reshape(-1, n * n) ** 2
+    sq[:, :: n + 1] = 0.0
+    keep = ~(np.sqrt(sq.sum(axis=-1)) <= 1e-13)
+    if keep.all():
+        return live
+    return np.arange(len(a))[live][keep] if keep.any() else None
+
+
+def rotate_reference(a, v, live, p, q, eye):
+    g = a[live, p, q]
+    absg = np.hypot(g.real, g.imag)
+    turn = absg >= np.finfo(float).tiny
+    if not turn.any():
+        return
+    if not turn.all():
+        live, g, absg = np.arange(len(a))[live][turn], g[turn], absg[turn]
+    phase = (g / absg).conj()
+    tau = (a[live, q, q].real - a[live, p, p].real) / (2.0 * absg)
+    t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    np.negative(t, out=t, where=tau < 0)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    j = np.empty((len(g),) + eye.shape, dtype=complex)
+    j[:] = eye
+    j[:, p, p], j[:, p, q], j[:, q, p], j[:, q, q] = c, s, -s * phase, c * phase
+    a[live] = _dag(j) @ a[live] @ j
+    if v is not None:
+        v[live] = v[live] @ j
+
+
+# Signed zeros, subnormals, roundoff-sized negatives and NaN: where clip, max and
+# the order of a reduction could show in the bits.
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, 1.0, -1.0]),
+    st.floats(-1.0, 1.0), st.floats(0.0, 1.0))
+spectra = st.one_of(
+    *(arrays(np.float64, shape, elements=edge_floats)
+      for shape in [(4,), (6, 4), (5, 2, 2), (3, 8), (2, 3, 4)]))
+
+
+@PROPERTY
+@given(lam=spectra)
+def test_entropy_reduce_equals_the_moveaxis_reduce(lam):
+    assert_same_bits(_entropy(lam), entropy_reference(lam))
+
+
+@PROPERTY
+@given(x=spectra | arrays(np.float64, 7, elements=st.sampled_from(
+    [np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300])))
+def test_maximum_at_zero_equals_clip(x):
+    assert_same_bits(np.maximum(x, 0.0), np.clip(x, 0.0, None))
+    assert_same_bits(_f_max(x), f_max_reference(x))
+
+
+@st.composite
+def signed_zero_stacks(draw):
+    # States of the property draws, each of its exact zeros given a drawn sign.
+    stack = np.array(draw(st.lists(states, min_size=1, max_size=6)))
+    signs = draw(arrays(np.bool_, stack.shape + (2,)))
+    parts = np.stack([stack.real, stack.imag], axis=-1)
+    parts[(parts == 0.0) & signs] = -0.0
+    return parts[..., 0] + 1j * parts[..., 1]
+
+
+@PROPERTY
+@given(stack=signed_zero_stacks())
+def test_report_helpers_equal_their_reference_forms(stack):
+    dec = _jacobi(stack)
+    seen = []
+
+    def solve(m, **kwargs):
+        seen.append(m.copy())
+        return _jacobi(m, **kwargs)
+
+    with mock.patch.object(correlations, "_jacobi", solve):
+        got = _information(stack, dec)
+    assert_same_bits(seen[0], marginals_reference(stack))
+    want = information_reference(stack, dec)
+    for x, y in zip(got[:2] + tuple(got[2]), want[:2] + tuple(want[2])):
+        assert_same_bits(x, y)
+    assert_same_bits(_psd_root(dec), psd_root_reference(dec))
+    assert_same_bits(_concurrence(stack, dec), concurrence_reference(stack, dec))
+    # Eigenvalues moved onto the clip's edge: signed zeros, tiny negatives, a NaN.
+    edge = np.where(np.abs(dec.eigenvalues) < 1e-3, -0.0, dec.eigenvalues)
+    edge[..., -1] = np.copysign(1e-17, edge[..., -1] - 0.5)
+    edge[0, 1] = np.nan
+    edge_dec = EigenDecomposition(edge, dec.eigenvectors)
+    assert_same_bits(_psd_root(edge_dec), psd_root_reference(edge_dec))
+    assert_same_bits(_f_max(edge), f_max_reference(edge))
+
+
+@PROPERTY
+@given(m=hermitian_stacks().filter(lambda m: m.shape[-1] == 4))
+def test_concurrence_of_indefinite_matrices_equals_its_reference_form(m):
+    # Negative eigenvalues reach both clips at zero: in sqrt(rho), and in the
+    # Wootters spectrum, whose floor leaves negatives below -1e-12 in place.
+    dec = _jacobi(m)
+    assert_same_bits(_psd_root(dec), psd_root_reference(dec))
+    assert_same_bits(_concurrence(m, dec), concurrence_reference(m, dec))
+
+
+def _same_decision(got, want, live):
+    # None, live itself, or the same index array.
+    if want is None or want is live:
+        return got is want
+    return isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+@PROPERTY
+@given(m=hermitian_stacks(), subset=st.lists(st.booleans(), min_size=6, max_size=6))
+def test_solver_decisions_equal_the_any_all_forms(m, subset):
+    # Three sweeps run with the new decisions, each step also taken by the
+    # reference on copies: live sets, a and v must agree bit for bit. The first
+    # sweep starts from a drawn subset of the stack as well as from all of it.
+    n = m.shape[-1]
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (n, n))
+    starts = [slice(None)]
+    picked = np.flatnonzero(subset[:len(m)])
+    if picked.size:
+        starts.append(picked)
+    for live in starts:
+        a = ((m + _dag(m)) / 2.0).reshape(-1, n, n)
+        v = eye[None].repeat(len(a), axis=0)
+        for _ in range(3):
+            got = qmat._unconverged(a, live)
+            assert _same_decision(got, unconverged_reference(a, live), live)
+            live = got
+            if live is None:
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    a_ref, v_ref = a.copy(), v.copy()
+                    rotate_reference(a_ref, v_ref, live, p, q, eye)
+                    qmat._rotate(a, v, live, p, q, eye)
+                    assert_same_bits(a, a_ref)
+                    assert_same_bits(v, v_ref)

@@ -330,6 +330,7 @@ class TestValidateDensityMatrix:
         (np.ones(4) / 4, "rho must be one matrix, got shape (4,)"),
         (np.ones((4, 2)) / 4, "expected a square matrix, got shape (4, 2)"),
         (np.ones((3, 4)), "rho has unsupported dimension 3"),
+        (np.zeros((0, 0), dtype=complex), "rho has unsupported dimension 0"),
     ])
     def test_shape_messages(self, m, message):
         with pytest.raises(ValueError) as info:
@@ -371,22 +372,73 @@ def test_input_check_messages(call, message):
     assert str(info.value) == message
 
 
+# Every public count, with the name and least value its message gives.
+COUNT_CALLS = [
+    pytest.param(lambda n: teleport_fidelity_mc(shared_state(0.3), n), "samples", 1,
+                 id="teleport_fidelity_mc"),
+    pytest.param(lambda n: spheroid_report(0.3, n), "integration_steps", 100,
+                 id="spheroid_report"),
+    pytest.param(lambda n: surface_grid(0.3, n, 2), "n_theta", 2, id="n_theta"),
+    pytest.param(lambda n: surface_grid(0.3, 2, n), "n_phi", 2, id="n_phi"),
+]
+
+
 # A count past sys.maxsize, the longest array numpy can index, fails in the count
 # check with its own ValueError, before anything is sized. Only 2^64 is drawn:
 # a count numpy would try to allocate is never run.
-@pytest.mark.parametrize(
-    "call, name, least",
-    [
-        pytest.param(lambda n: teleport_fidelity_mc(shared_state(0.3), n), "samples", 1,
-                     id="teleport_fidelity_mc"),
-        pytest.param(lambda n: spheroid_report(0.3, n), "integration_steps", 100,
-                     id="spheroid_report"),
-        pytest.param(lambda n: surface_grid(0.3, n, 2), "n_theta", 2, id="n_theta"),
-        pytest.param(lambda n: surface_grid(0.3, 2, n), "n_phi", 2, id="n_phi"),
-    ],
-)
+@pytest.mark.parametrize("call, name, least", COUNT_CALLS)
 def test_counts_past_sys_maxsize_are_not_whole(call, name, least):
     with pytest.raises(ValueError) as info:
         call(2**64)
     assert str(info.value) == (f"{name} must be a whole number >= {least} and"
                                f" <= {sys.maxsize}, got 18446744073709551616")
+
+
+# A value that compares with no number fails the same rule, not with a TypeError
+# from inside it; the message shows the value's repr.
+@pytest.mark.parametrize("value", ["3", "200", None, 3 + 0j, 200j], ids=repr)
+@pytest.mark.parametrize("call, name, least", COUNT_CALLS)
+def test_non_numeric_counts_are_not_whole(call, name, least, value):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == (f"{name} must be a whole number >= {least} and"
+                               f" <= {sys.maxsize}, got {value!r}")
+
+
+# A stack of no matrices, or a matrix of no entries, fails the shape rule of every
+# checked entry point with the package's own message, not inside a numpy reduction.
+@pytest.mark.parametrize("shape", [(0, 2, 2), (0, 4, 4), (3, 0, 4, 4), (0, 0)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(eig_hermitian, id="eig_hermitian"),
+        pytest.param(sqrt_psd, id="sqrt_psd"),
+        pytest.param(measure_report, id="measure_report"),
+        pytest.param(von_neumann_entropy, id="von_neumann_entropy"),
+    ],
+)
+def test_empty_stacks_are_rejected(call, shape):
+    m = np.zeros(shape, dtype=complex)
+    if call is measure_report and shape[-2:] != (4, 4):
+        message = f"expected a two-qubit state, got shape {shape}"
+    elif call is von_neumann_entropy and len(shape) > 2:
+        message = f"entropy input must be one matrix, got shape {shape}"
+    else:
+        message = f"expected a non-empty matrix or stack, got shape {shape}"
+    with pytest.raises(ValueError) as info:
+        call(m)
+    assert str(info.value) == message
+
+
+# Past the checks, the solver itself takes an empty stack: nothing is unconverged,
+# so it returns empty results at once instead of running out its sweeps.
+@pytest.mark.parametrize("vectors", [True, False])
+@pytest.mark.parametrize("n", [2, 4])
+def test_solver_returns_empty_results_for_an_empty_stack(n, vectors):
+    assert qmat._unconverged(np.zeros((0, n, n), dtype=complex), slice(None)) is None
+    dec = _jacobi(np.zeros((0, n, n), dtype=complex), vectors=vectors)
+    assert dec.eigenvalues.shape == (0, n)
+    if vectors:
+        assert dec.eigenvectors.shape == (0, n, n)
+    else:
+        assert dec.eigenvectors is None

@@ -7,6 +7,8 @@ failing; these checks catch it.
 
 import importlib.util
 import itertools
+import sys
+import warnings
 from pathlib import Path
 
 import rindler
@@ -46,3 +48,19 @@ def test_a_crash_is_the_run_result(tmp_path):
         None, "partial\n", "IndexError: index -1 is out of bounds")
     assert "error" not in cli_corpus._run(lambda argv: 0, ["x"], tmp_path / "out")
 
+
+
+def test_every_run_prints_its_warnings(monkeypatch):
+    # pytest records warnings instead of printing them; this showwarning prints
+    # to the stderr the run redirects, as Python's default one does.
+    def show(message, category, filename, lineno, file=None, line=None):
+        print(f"{category.__name__}: {message}", file=sys.stderr)
+
+    def main(argv):
+        for _ in range(2):
+            warnings.warn("a repeated warning", UserWarning)
+        return 0
+
+    monkeypatch.setattr(warnings, "showwarning", show)
+    twice = "UserWarning: a repeated warning\n" * 2
+    assert [cli_corpus._run(main, ["x"], None)["stderr"] for _ in range(3)] == [twice] * 3

@@ -51,6 +51,7 @@ import math
 import random
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -325,7 +326,11 @@ def _run(main, argv: list[str], out_path: Path | None) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     full = argv if out_path is None else argv + ["--out", str(out_path)]
     error = None
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    # "always": a warning is printed on every run that raises it, not only the
+    # first, so a run's stderr does not depend on the runs before it.
+    with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+          warnings.catch_warnings()):
+        warnings.simplefilter("always")
         try:
             rc = main(full)
         except Exception as exc:  # a crash is this run's result, not the dump's end
