@@ -43,7 +43,6 @@ from .geometry import (
     bloch_of,
     image_of_pure,
     radius_from_center,
-    sample_surface,
     spheroid_report,
     surface_grid,
 )

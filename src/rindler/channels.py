@@ -41,10 +41,6 @@ class KrausMap:
     def dim(self) -> int:
         return self.ops.shape[-1]
 
-    @property
-    def is_signed(self) -> bool:
-        return bool((self.signs < 0).any())
-
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
@@ -84,8 +80,8 @@ def unruh_kraus(r: float) -> KrausMap:
 def amplitude_damping(gamma: float) -> KrausMap:
     """Damping channel with operators diag(sqrt(1-gamma), 1), sqrt(gamma)|1><0|.
 
-    The convention matches unruh_kraus, so amplitude_damping(sin^2 r)
-    acts identically to unruh_kraus(r).
+    The convention matches unruh_kraus: amplitude_damping(sin^2 r) equals
+    unruh_kraus(r) up to the last bit, as sqrt(1 - sin^2 r) may not be cos r.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"damping strength {gamma} outside [0, 1]")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channels import choi_matrix, inverse_unruh, is_cp, kraus_from_choi, unruh_kraus
 from .correlations import measure_report
-from .geometry import _grid, spheroid_report
+from .geometry import spheroid_report, surface_grid
 from .qmat import JacobiConvergenceError
 from .unruh import R_MAX, UnruhParams, cos_r, shared_state
 
@@ -210,7 +210,7 @@ def cmd_geometry(args) -> int:
 
     # One NUL-padded row a point after the header, x and y apart (half the temporaries);
     # translate drops the NULs, in about 0.6 the time of flat[flat != 0].
-    theta, phi, x, y, z = _grid(args.r, args.n_theta, args.n_phi)
+    theta, phi, x, y, z = surface_grid(args.r, args.n_theta, args.n_phi)
     cells = [_text_cells("%.12g", theta)[:, None], _text_cells(",%.12g", phi)[None],
              *(_cells_12g(c.ravel()).reshape(*c.shape, 20) for c in (x, y)),
              _text_cells(",%.12g\n", z)[:, None]]

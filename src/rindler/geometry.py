@@ -123,29 +123,15 @@ def _image(r: float, theta: np.ndarray, phi: np.ndarray):
     return radial * np.cos(phi), radial * np.sin(phi), np.array(z)
 
 
-def _grid(r: float, n_theta: int, n_phi: int):
-    """surface_grid as arrays: theta, phi and z 1-D, x and y (n_theta, n_phi)."""
+def surface_grid(r: float, n_theta: int, n_phi: int):
+    """Image points on a (theta, phi) grid, as the tuple (theta, phi, x, y, z).
+
+    theta, shape (n_theta,), runs over n_theta points including both poles;
+    phi, shape (n_phi,), over n_phi points with the 2*pi endpoint excluded.
+    x and y have shape (n_theta, n_phi) and z, shape (n_theta,), depends on
+    theta alone: the input (theta[i], phi[j]) maps to (x[i, j], y[i, j], z[i]).
+    """
     n_theta, n_phi = _whole(n_theta, 2, "n_theta"), _whole(n_phi, 2, "n_phi")
     theta = np.linspace(0.0, np.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     return (theta, phi, *_image(_check_angle(r), theta, phi))
-
-
-def surface_grid(r: float, n_theta: int, n_phi: int):
-    """Image points on a (theta, phi) grid as (theta, phi, BlochVector) rows.
-
-    theta runs over n_theta points including both poles; phi over n_phi
-    points with the 2*pi endpoint excluded.
-    """
-    theta, phi, x, y, z = _grid(r, n_theta, n_phi)
-    phi = phi.tolist()
-    return [
-        (t, p, BlochVector(xv, yv, zt))
-        for t, zt, xs, ys in zip(theta.tolist(), z.tolist(), x.tolist(), y.tolist())
-        for p, xv, yv in zip(phi, xs, ys)
-    ]
-
-
-def sample_surface(r: float, n_theta: int, n_phi: int) -> list[BlochVector]:
-    """Image vectors only, in the same grid order as surface_grid."""
-    return [vec for _, _, vec in surface_grid(r, n_theta, n_phi)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import sys
 from typing import NamedTuple
 
@@ -81,14 +82,16 @@ def partial_trace(rho: np.ndarray, dims: list[int], traced: int) -> np.ndarray:
     The reduced matrix over the remaining factors, in their original order.
     """
     rho = np.asarray(rho, dtype=complex)
-    dims = list(dims)
-    total = int(np.prod(dims))
+    dims = [_whole(d, 1, "subsystem dimension") for d in dims]
+    total = math.prod(dims)
     if rho.shape[-2:] != (total, total):
         raise ValueError(
             f"matrix shape {rho.shape} does not match subsystem dims {dims}"
         )
-    if not 0 <= traced < len(dims):
+    # A fractional or non-numeric index equals no entry of the range.
+    if traced not in range(len(dims)):
         raise ValueError(f"traced index {traced} out of range for {len(dims)} factors")
+    traced = int(traced)
     lead, k = rho.shape[:-2], len(dims)
     resh = rho.reshape(lead + tuple(dims + dims))
     reduced = np.trace(resh, axis1=len(lead) + traced, axis2=len(lead) + k + traced)
@@ -221,15 +224,15 @@ def _checked_eig(m: np.ndarray, name: str, vectors=True) -> EigenDecomposition:
     return _floored(_jacobi(m, vectors), PSD_TOL, f"{name} has negative eigenvalue")
 
 
-def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check one matrix of dimension 2, 4 or 8 for Hermiticity, unit trace and
     positivity; return it as a complex array."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2:
-        raise ValueError(f"{name} must be one matrix, got shape {rho.shape}")
+        raise ValueError(f"rho must be one matrix, got shape {rho.shape}")
     if rho.shape[0] not in (2, 4, 8):
-        raise ValueError(f"{name} has unsupported dimension {rho.shape[0]}")
-    _checked_eig(rho, name, vectors=False)
+        raise ValueError(f"rho has unsupported dimension {rho.shape[0]}")
+    _checked_eig(rho, "rho", vectors=False)
     return rho
 
 

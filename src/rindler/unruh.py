@@ -22,6 +22,7 @@ def cos_r(a: float, omega: float) -> float:
     monotonically from 1 (a -> 0) to 1/sqrt(2) (a -> infinity). An array
     of accelerations gives an array, each entry as for that a alone.
     """
+    a = np.asarray(a)
     if not (0 < np.minimum.reduce(a, None) and np.maximum.reduce(a, None) < np.inf):
         raise ValueError(f"acceleration must be positive and finite, got {a}")
     if not 0 < omega < np.inf:

@@ -6,6 +6,7 @@ import pytest
 
 from rindler import channels, cli, correlations, qmat
 from rindler.cli import main
+from rindler.geometry import surface_grid
 from rindler.qmat import JacobiConvergenceError
 from rindler.unruh import UnruhParams
 
@@ -336,6 +337,18 @@ class TestGeometry:
         assert summary.startswith("# center=")
         assert "volume_fraction=0.25" in summary
         assert "eccentricity=0.707106781187" in summary
+
+    def test_points_come_from_surface_grid(self, monkeypatch, capsys):
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return surface_grid(*args)
+
+        monkeypatch.setattr(cli, "surface_grid", recording)
+        assert main(["geometry", "--r", "0.3", "--n-theta", "3", "--n-phi", "4"]) == 0
+        assert calls == [(0.3, 3, 4)]
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 12 + 1
 
     def test_identity_limit_summary(self, capsys):
         assert main(["geometry", "--r", "0", "--n-theta", "2",

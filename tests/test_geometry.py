@@ -9,11 +9,9 @@ from numpy.testing import assert_allclose
 from rindler import geometry
 from rindler.channels import apply, unruh_kraus
 from rindler.geometry import (
-    BlochVector,
     bloch_of,
     image_of_pure,
     radius_from_center,
-    sample_surface,
     spheroid_report,
     surface_grid,
 )
@@ -207,40 +205,43 @@ def test_float_power_squares_are_python_pow():
     assert (x * x != want).any()
 
 
-class TestSampleSurface:
-    def test_grid_size(self):
-        pts = sample_surface(0.3, 7, 9)
-        assert len(pts) == 63
-        assert all(isinstance(p, BlochVector) for p in pts)
+class TestSurfaceGrid:
+    def test_grid_shapes(self):
+        theta, phi, x, y, z = surface_grid(0.3, 7, 9)
+        assert [a.shape for a in (theta, phi, x, y, z)] == [(7,), (9,), (7, 9), (7, 9), (7,)]
 
     def test_asymptotic_pole_points(self):
-        pts = sample_surface(np.pi / 4, 5, 4)
-        assert_allclose(pts[0], (0, 0, 0), atol=1e-14)
-        assert_allclose(pts[-1], (0, 0, -1), atol=1e-12)
+        _, _, x, y, z = surface_grid(np.pi / 4, 5, 4)
+        assert_allclose((x[0], y[0]), 0.0, atol=1e-14)
+        assert z[0] == pytest.approx(0.0, abs=1e-14)
+        assert_allclose((x[-1], y[-1]), 0.0, atol=1e-12)
+        assert z[-1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_points_sit_at_the_stated_radius(self):
-        for theta, _, vec in surface_grid(np.pi / 4, 12, 8):
-            dist = np.linalg.norm(np.array(vec) - ASYMPTOTIC_CENTER)
-            assert dist == pytest.approx(radius_from_center(theta), abs=1e-10)
+        theta, _, x, y, z = surface_grid(np.pi / 4, 12, 8)
+        for i, t in enumerate(theta):
+            for xv, yv in zip(x[i], y[i]):
+                dist = np.linalg.norm(np.array([xv, yv, z[i]]) - ASYMPTOTIC_CENTER)
+                assert dist == pytest.approx(radius_from_center(t), abs=1e-10)
 
     def test_identity_keeps_unit_sphere(self):
-        for p in sample_surface(0.0, 6, 6):
-            assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
+        _, _, x, y, z = surface_grid(0.0, 6, 6)
+        assert_allclose(np.sqrt(x**2 + y**2 + z[:, None] ** 2), 1.0, rtol=0, atol=1e-12)
 
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
-            sample_surface(0.1, 1, 8)
+            surface_grid(0.1, 1, 8)
 
     # A grid side that is not whole fails with its name, never truncated.
-    @pytest.mark.parametrize("surface", [surface_grid, sample_surface])
     @pytest.mark.parametrize(
         "n_theta, n_phi, name",
         [(2.5, 2, "n_theta"), (3, 2.5, "n_phi"), (float("nan"), 3, "n_theta"),
          (3, float("inf"), "n_phi")],
     )
-    def test_rejects_counts_that_are_not_whole(self, surface, n_theta, n_phi, name):
+    def test_rejects_counts_that_are_not_whole(self, n_theta, n_phi, name):
         with pytest.raises(ValueError, match=f"{name} must be a whole number >= 2"):
-            surface(0.3, n_theta, n_phi)
+            surface_grid(0.3, n_theta, n_phi)
 
     def test_accepts_integral_float_counts(self):
-        assert surface_grid(0.3, 3.0, 4.0) == surface_grid(0.3, 3, 4)
+        got, want = surface_grid(0.3, 3.0, 4.0), surface_grid(0.3, 3, 4)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

@@ -10,7 +10,7 @@ PUBLIC = {
     "decompose", "dephased", "f_max", "measure_report", "mutual_information",
     "qmid", "teleport_fidelity_mc",
     "BlochVector", "SpheroidReport", "bloch_of", "image_of_pure",
-    "radius_from_center", "sample_surface", "spheroid_report", "surface_grid",
+    "radius_from_center", "spheroid_report", "surface_grid",
     "EigenDecomposition", "JacobiConvergenceError", "eig_hermitian",
     "partial_trace", "pure_qubit", "sqrt_psd",
     "validate_density_matrix", "von_neumann_entropy",
@@ -19,7 +19,7 @@ PUBLIC = {
 
 
 def test_public_names_are_frozen():
-    assert len(rindler.__all__) == len(PUBLIC) == 45
+    assert len(rindler.__all__) == len(PUBLIC) == 44
     assert set(rindler.__all__) == PUBLIC
 
 

@@ -442,13 +442,13 @@ def test_inverse_choi_spectrum(r):
 @example(r=0.3, n_theta=88, n_phi=2)
 @example(r=np.pi / 4, n_theta=109, n_phi=3)
 def test_surface_grid_rows_equal_the_closed_form(r, n_theta, n_phi):
-    got = surface_grid(r, n_theta, n_phi)
-    want = [(float(t), float(p), image_of_pure(t, p, r))
-            for t in np.linspace(0.0, np.pi, n_theta)
-            for p in np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)]
-    assert got == want
-    # == takes -0.0 for 0.0; the bytes pin the sign of every zero as well.
-    assert _same([(t, p, *v) for t, p, v in got], [(t, p, *v) for t, p, v in want])
+    theta, phi, x, y, z = surface_grid(r, n_theta, n_phi)
+    assert _same(theta, np.linspace(0.0, np.pi, n_theta))
+    assert _same(phi, np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False))
+    got = [(x[i, j], y[i, j], z[i]) for i in range(n_theta) for j in range(n_phi)]
+    want = [image_of_pure(t, p, r) for t in theta for p in phi]
+    # The bytes pin the sign of every zero as well as the value.
+    assert _same(got, want)
 
 
 # Finite floats of any size, and ones drawn where _cells_12g prints from

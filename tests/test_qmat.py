@@ -104,6 +104,26 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(np.eye(4) / 4, [2, 2], 2)
 
+    # Each dimension follows the count rule (whole, at least 1; an integral float
+    # is whole) and the index is one of range(len(dims)); anything else fails with
+    # the package's ValueError, not inside numpy.
+    @pytest.mark.parametrize("rho, dims, traced, error", [
+        (np.zeros((0, 0)), [0, 3], 0, "subsystem dimension must be a whole number >= 1"),
+        (np.zeros((0, 0)), [2, 0], 1, "subsystem dimension must be a whole number >= 1"),
+        (np.diag([0.1, 0.2, 0.3, 0.4]), [2, 2], 1.5, "traced index 1.5 out of range"),
+        (np.diag([0.1, 0.2, 0.3, 0.4]), [2, 2], np.nan, "traced index nan out of range"),
+        (np.diag([0.1, 0.2, 0.3, 0.4]), [2.0, 2.0], 0, None),
+        (np.diag([0.1, 0.2, 0.3, 0.4]), [2, 2], 1.0, None),
+    ], ids=["zero-dim", "zero-last-dim", "fractional-index", "nan-index", "float-dims",
+            "float-index"])
+    def test_arguments_follow_the_count_rule(self, rho, dims, traced, error):
+        if error is None:
+            want = partial_trace(rho, [int(d) for d in dims], int(traced))
+            assert partial_trace(rho, dims, traced).tobytes() == want.tobytes()
+        else:
+            with pytest.raises(ValueError, match=error):
+                partial_trace(rho, dims, traced)
+
 
 def sort_by_vectors(lam, v):
     """The solver's general order of one solve, column by column in Python.
@@ -380,6 +400,8 @@ COUNT_CALLS = [
                  id="spheroid_report"),
     pytest.param(lambda n: surface_grid(0.3, n, 2), "n_theta", 2, id="n_theta"),
     pytest.param(lambda n: surface_grid(0.3, 2, n), "n_phi", 2, id="n_phi"),
+    pytest.param(lambda n: partial_trace(np.eye(2), [n, 2], 0), "subsystem dimension", 1,
+                 id="partial_trace"),
 ]
 
 

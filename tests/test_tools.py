@@ -7,6 +7,7 @@ failing; these checks catch it.
 
 import importlib.util
 import itertools
+import json
 import sys
 import warnings
 from pathlib import Path
@@ -64,3 +65,33 @@ def test_every_run_prints_its_warnings(monkeypatch):
     monkeypatch.setattr(warnings, "showwarning", show)
     twice = "UserWarning: a repeated warning\n" * 2
     assert [cli_corpus._run(main, ["x"], None)["stderr"] for _ in range(3)] == [twice] * 3
+
+
+def test_compare_lists_one_sided_records_apart(tmp_path, capsys):
+    def run(argv, stdout):
+        return {"argv": argv, "to_file": False, "rc": 0, "stdout": stdout,
+                "stderr": "", "file": None}
+
+    def lib(name, value):
+        return {"lib": name, "values": [repr(value)]}
+
+    before = [run(["a"], "1\n"), run(["b"], "2\n"), run(["gone"], ""),
+              lib("measure_report #0", 0.5), lib("measure_report #1", 0.25)]
+    after = [run(["a"], "1\n"), run(["b"], "3\n"), run(["new"], ""),
+             lib("measure_report #0", 0.75), lib("measure_report #2", 0.25)]
+    paths = []
+    for name, records in (("before", before), ("after", after)):
+        paths.append(tmp_path / f"{name}.jsonl")
+        paths[-1].write_text("".join(json.dumps(rec) + "\n" for rec in records))
+
+    assert cli_corpus.compare(*paths) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:6] == [
+        "b", "lib measure_report #0",
+        "only in before: gone", "only in before: lib measure_report #1",
+        "only in after: new", "only in after: lib measure_report #2",
+    ]
+    assert lines[6] == "4 argv, 4 runs, 1 differ, 1 only in before, 1 only in after"
+    assert lines[7] == ("lib measure_report: 3 records, 1 differ, 1 only in before,"
+                        " 1 only in after, max |change| 0.25")
+    assert cli_corpus.compare(paths[0], paths[0]) == 0

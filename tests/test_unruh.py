@@ -58,9 +58,11 @@ class TestCosR:
         with pytest.raises(ValueError):
             cos_r(np.array([1.0, a, 2.0]), omega)
 
-    def test_array_entries_equal_scalar_calls(self):
-        grid = np.geomspace(1e-7, 1e7, 2001)
-        got = cos_r(grid, 0.37)
+    # A list or tuple of accelerations is an array too; omega / a overflows at 1e-320.
+    @pytest.mark.parametrize("form", [np.array, list, tuple])
+    def test_array_entries_equal_scalar_calls(self, form):
+        grid = np.r_[np.geomspace(1e-7, 1e7, 2001), 1e-320]
+        got = cos_r(form(grid.tolist()), 0.37)
         assert got.shape == grid.shape
         want = np.array([cos_r(float(a), 0.37) for a in grid])
         assert got.tobytes() == want.tobytes()

@@ -25,9 +25,10 @@ two source trees and compare:
     python tools/cli_corpus.py dump after.jsonl
     python tools/cli_corpus.py compare before.jsonl after.jsonl
 
-`compare` lists every run and library record that differs, counts the
-library records apart from the CLI runs, with the largest |change| of a
-value per function, and exits 1 if anything differs.
+`compare` lists every run and library record that differs, then apart, as
+"only in before" or "only in after", each one that only one dump holds. It
+counts the library records apart from the CLI runs, with the largest
+|change| of a value per function, and exits 1 if anything is listed.
 The corpus covers sweep (csv/json x log/linear, 2 to 2000 rows, omega
 0.005 to 20, a ratios up to 1e6), all channel modes at r = 0, 1e-6, 1e-3,
 pi/4, at random r and at random --a/--omega, kraus and invert on both sides
@@ -381,34 +382,43 @@ def _load(path: Path) -> tuple[dict, dict]:
     return runs, lib
 
 
-def _largest_change(x: dict | None, y: dict | None) -> float:
-    # Largest |difference| of paired values; inf when a side has none.
-    if not (x and y and "values" in x and "values" in y):
+def _largest_change(x: dict, y: dict) -> float:
+    # Largest |difference| of paired values; inf when a record holds none (an error).
+    if not ("values" in x and "values" in y):
         return math.inf
     return max((abs(complex(u) - complex(v)) for u, v in zip(x["values"], y["values"])),
                default=0.0)
 
 
+def _split(left: dict, right: dict, keys: list) -> tuple[list, list, list]:
+    # The keys in both dumps whose records differ, those only in before, only in after.
+    return ([k for k in keys if k in left and k in right and left[k] != right[k]],
+            [k for k in keys if k not in right], [k for k in keys if k not in left])
+
+
 def compare(a: Path, b: Path) -> int:
     (left, left_lib), (right, right_lib) = _load(a), _load(b)
     keys = sorted(set(left) | set(right))
-    differ = [k for k in keys if left.get(k) != right.get(k)]
-    for argv, to_file in differ:
-        print(("--out " if to_file else "") + " ".join(argv))
     names = list(dict.fromkeys([*left_lib, *right_lib]))
-    lib_differ = [k for k in names if left_lib.get(k) != right_lib.get(k)]
-    for name in lib_differ:
-        print(f"lib {name}")
+    runs, libs = _split(left, right, keys), _split(left_lib, right_lib, names)
+    for label, run_keys, lib_names in zip(("", "only in before: ", "only in after: "),
+                                          runs, libs):
+        for argv, to_file in run_keys:
+            print(label + ("--out " if to_file else "") + " ".join(argv))
+        for name in lib_names:
+            print(f"{label}lib {name}")
     n_argv = len({argv for argv, _ in keys})
-    print(f"{n_argv} argv, {len(keys)} runs, {len(differ)} differ")
+    print(f"{n_argv} argv, {len(keys)} runs, {len(runs[0])} differ, "
+          f"{len(runs[1])} only in before, {len(runs[2])} only in after")
     for func in LIB_FUNCTIONS:
-        total = [k for k in names if k.split(" #")[0] == func]
-        moved = [k for k in lib_differ if k.split(" #")[0] == func]
-        delta = max((_largest_change(left_lib.get(k), right_lib.get(k)) for k in moved),
+        total, moved, before, after = ([k for k in group if k.split(" #")[0] == func]
+                                       for group in (names, *libs))
+        delta = max((_largest_change(left_lib[k], right_lib[k]) for k in moved),
                     default=0.0)
         print(f"lib {func}: {len(total)} records, {len(moved)} differ, "
+              f"{len(before)} only in before, {len(after)} only in after, "
               f"max |change| {delta:.3g}")
-    return 1 if differ or lib_differ else 0
+    return 1 if any(runs) or any(libs) else 0
 
 
 def main(argv=None) -> int:
