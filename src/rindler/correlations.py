@@ -213,12 +213,12 @@ _BELL_OUTCOMES /= np.sqrt(2.0)
 # With psi psi^dag = sum_i v_i s_i / 2 and v = (1, n), correction s_p after
 # outcome k has fidelity v^T R_pk v, where R[p, k, i, j], linear in rho, is
 # tr(rho (A_k^dag s_i A_k)^T (x) s_p^dag s_j s_p) / 4. _TELEPORT_FORM maps
-# rho's entries (b, r, c, s) to the (p, k, i, j) of R.
+# rho's entries (b, r, c, s) to the (p, k, i, j) of R, in 16x16 blocks BLAS won't thread.
 _TELEPORT_FORM = 0.25 * np.einsum(
     "kibc,pjsr->pkijbrcs",
     np.einsum("kab,iad,kdc->kibc", _BELL_OUTCOMES.conj(), _SIGMAS, _BELL_OUTCOMES),
     np.einsum("pds,jde,per->pjsr", np.conj(_SIGMAS), _SIGMAS, _SIGMAS),
-).reshape(256, 16)
+).reshape(16, 16, 16)
 
 
 # cos and sin of 2 pi j / _TURNS by libm, as in geometry (numpy's own loops may

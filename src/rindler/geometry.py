@@ -71,13 +71,11 @@ def radius_from_center(theta: float) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _simpson_nodes(steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only math.sin at the nodes of [0, pi] and weights 1, 4, 2, ..., 1."""
+def _simpson_nodes(steps: int) -> np.ndarray:
+    """Read-only math.sin at the steps + 1 nodes of [0, pi]."""
     sines = np.array(list(map(math.sin, np.linspace(0.0, np.pi, steps + 1).tolist())))
-    weights = np.r_[1.0, np.tile([4.0, 2.0], steps // 2)]
-    weights[-1] = 1.0
-    sines.flags.writeable = weights.flags.writeable = False
-    return sines, weights
+    sines.flags.writeable = False
+    return sines
 
 
 def spheroid_report(r: float, integration_steps: int = 10000) -> SpheroidReport:
@@ -96,15 +94,16 @@ def spheroid_report(r: float, integration_steps: int = 10000) -> SpheroidReport:
     r = _check_angle(r)
     steps = _whole(integration_steps, 100, "integration_steps")
     steps += steps % 2
-    sines, weights = _simpson_nodes(steps)
+    sines = _simpson_nodes(steps)
 
-    # Cross-section area pi (c sin t)^2 times |dz/dt| = |-(c^2) sin t|, c = cos r.
-    # float_power calls libm pow per value, so its square has Python pow's
-    # bits, which x * x and np.power can miss in the last bit.
+    # Cross-section area pi (c sin t)^2 times |dz/dt| = c^2 sin t >= 0, c = cos r.
+    # float_power calls libm pow per value, so its squares have Python pow's bits
+    # (x * x and np.power can miss the last one). Simpson's 1, 4, 2, ..., 4, 1 add
+    # by numpy's own sums, as a BLAS dot's order depends on its kernel and threads.
     c = math.cos(r)
-    squares = np.float_power(c * sines, 2.0)
-    integrand = (math.pi * squares) * np.abs(-(c**2) * sines)
-    volume = float(np.pi / steps / 3.0 * np.dot(weights, integrand))
+    f = (math.pi * np.float_power(c * sines, 2.0)) * ((c**2) * sines)
+    simpson = (f[0] + f[-1]) + 4.0 * f[1::2].sum() + 2.0 * f[2:-1:2].sum()
+    volume = float(np.pi / steps / 3.0 * simpson)
     fraction = volume / (4.0 * np.pi / 3.0)
 
     equatorial = float(np.cos(r))

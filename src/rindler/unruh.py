@@ -8,11 +8,21 @@ cos^2 r = 1/2.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 R_MAX = np.pi / 4
+
+
+def _positive(x, what: str, arrays: bool = False) -> np.ndarray:
+    x, f = np.asarray(x), np.empty(0)
+    with contextlib.suppress(TypeError, OverflowError):  # * 1.0 fails on a str, None, huge int
+        f = np.asarray(x * 1.0, float) if x.dtype.kind in "biufO" else f
+    if not (f.size and (arrays or not f.ndim) and 0 < f.min() and f.max() < np.inf):
+        raise ValueError(f"{what} must be positive and finite, got {x}")
+    return f
 
 
 def cos_r(a: float, omega: float) -> float:
@@ -22,11 +32,7 @@ def cos_r(a: float, omega: float) -> float:
     monotonically from 1 (a -> 0) to 1/sqrt(2) (a -> infinity). An array
     of accelerations gives an array, each entry as for that a alone.
     """
-    a = np.asarray(a)
-    if not (0 < np.minimum.reduce(a, None) and np.maximum.reduce(a, None) < np.inf):
-        raise ValueError(f"acceleration must be positive and finite, got {a}")
-    if not 0 < omega < np.inf:
-        raise ValueError(f"mode frequency must be positive and finite, got {omega}")
+    a, omega = _positive(a, "acceleration", arrays=True), _positive(omega, "mode frequency")
     # omega / a overflows to inf for a tiny a; exp(-inf) = 0 gives c = 1, its limit.
     with np.errstate(over="ignore"):
         c = 1.0 / np.sqrt(np.exp(-2.0 * np.pi * omega / a) + 1.0)
@@ -35,9 +41,7 @@ def cos_r(a: float, omega: float) -> float:
 
 def unruh_temperature(a: float) -> float:
     """Thermal temperature a / (2 pi) perceived at proper acceleration a."""
-    if not 0 < a < np.inf:
-        raise ValueError(f"acceleration must be positive and finite, got {a}")
-    return float(a / (2.0 * np.pi))
+    return float(_positive(a, "acceleration") / (2.0 * np.pi))
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,40 @@ class TestUnruhTemperature:
                 unruh_temperature(a)
 
 
+# Anything but a finite positive real number (for cos_r's a, also a non-empty
+# array of them) fails with the package's message, never numpy's or Python's.
+@pytest.mark.parametrize(
+    "func, args, what",
+    [
+        (cos_r, ([], 0.1), "acceleration"),
+        (cos_r, (10**400, 0.1), "acceleration"),
+        (cos_r, ([1.0, 10**400], 0.1), "acceleration"),
+        (cos_r, ("abc", 0.1), "acceleration"),
+        (cos_r, ("1.5", 0.1), "acceleration"),
+        (cos_r, (np.array([1.0, "2"], dtype=object), 0.1), "acceleration"),
+        (cos_r, (None, 0.1), "acceleration"),
+        (cos_r, (1 + 0j, 0.1), "acceleration"),
+        (cos_r, (0.1, 10**400), "mode frequency"),
+        (cos_r, (0.1, "x"), "mode frequency"),
+        (cos_r, (0.1, np.array([0.1, 0.2])), "mode frequency"),
+        (unruh_temperature, (10**400,), "acceleration"),
+        (unruh_temperature, ("abc",), "acceleration"),
+        (unruh_temperature, ("1.5",), "acceleration"),
+        (unruh_temperature, (np.array([1.0, 2.0]),), "acceleration"),
+    ],
+)
+def test_rejects_what_is_no_finite_positive_real(func, args, what):
+    with pytest.raises(ValueError, match=f"^{what} must be positive and finite, got "):
+        func(*args)
+
+
+def test_whole_numbers_past_int64_are_read_as_floats():
+    assert cos_r(10**300, 0.1) == cos_r(1e300, 0.1)
+    assert unruh_temperature(10**300) == unruh_temperature(1e300)
+    got, want = cos_r([2, 10**300], 0.1), cos_r([2.0, 1e300], 0.1)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestUnruhParams:
     def test_angle_derivation(self):
         p = UnruhParams(4.6, 0.1)

@@ -18,8 +18,12 @@ state, `zip(signs, ops)` of `amplitude_damping(sin^2 r_i)` (sign, operator,
 sign, operator), and `image_of_pure(theta_i, phi_i, r_i)` at a point of the
 sphere per state (`SPHERE_ANGLES`: both poles, theta = pi + 1e-12 and the
 equator, each at phi = 0 and just below 2 pi, on the eight states nearest
-r = 0 and the eight nearest pi/4; seeded points between). Dump the corpus on
-two source trees and compare:
+r = 0 and the eight nearest pi/4; seeded points between). After all of
+those, so that every earlier record keeps its place, `spheroid_report(r_i,
+steps)` of each of the 300 angles at 100, 10000 and 20000 Simpson steps
+(`SIMPSON_STEPS`), listed as `lib spheroid_report #17 steps 100`: every field,
+the center's three coordinates first. Dump the corpus on two source trees and
+compare:
 
     python tools/cli_corpus.py dump before.jsonl --src /path/to/old/src
     python tools/cli_corpus.py dump after.jsonl
@@ -39,7 +43,7 @@ subnormal), a sweep at subnormal accelerations, geometry grids from 2x2 to
 and pi/4; 31x29 at r = 5e-324 and 1.9e-162), usage and I/O errors, forms at
 the edge of the parser's table path (`TABLE_EDGES`), and an overflowing log
 grid and counts numpy cannot size (`LARGE_VALUES`): 1263 argv in 2475 runs,
-and 3000 library records.
+and 3900 library records.
 """
 
 from __future__ import annotations
@@ -246,6 +250,9 @@ LIB_STATES = 300
 # kernel's block of 8192 samples, and 10^5 samples (13 blocks, the last
 # partial), so that dumps of old and new trees compare record for record.
 MC_SAMPLES = (1, 2, 3, 2047, 2048, 2049, 6161, 8191, 8192, 8193, 100000)
+# Simpson step counts of the spheroid records: the least allowed, the default
+# and twice the default.
+SIMPSON_STEPS = (100, 10000, 20000)
 
 
 def _angle(i: int) -> float:
@@ -310,17 +317,24 @@ def lib_states() -> list:
     return states
 
 
+def _record(name: str, call) -> dict:
+    rec = {"lib": name}
+    try:
+        # The fields of the result in order, each flattened.
+        rec["values"] = [repr(v) for x in call() for v in np.ravel(x).tolist()]
+    except Exception as exc:
+        rec["error"] = f"{type(exc).__name__}: {exc}"
+    return rec
+
+
 def _lib_records(rindler):
     for i, rho in enumerate(lib_states()):
         for name, func in LIB_FUNCTIONS.items():
-            rec = {"lib": f"{name} #{i}"}
-            try:
-                # The fields of the result in order, each flattened.
-                values = [v for x in func(rindler, rho, i) for v in np.ravel(x).tolist()]
-                rec["values"] = [repr(v) for v in values]
-            except Exception as exc:
-                rec["error"] = f"{type(exc).__name__}: {exc}"
-            yield rec
+            yield _record(f"{name} #{i}", lambda: func(rindler, rho, i))
+    for i in range(LIB_STATES):
+        for steps in SIMPSON_STEPS:
+            yield _record(f"spheroid_report #{i} steps {steps}",
+                          lambda: rindler.spheroid_report(_angle(i), steps))
 
 
 def _run(main, argv: list[str], out_path: Path | None) -> dict:
@@ -410,7 +424,7 @@ def compare(a: Path, b: Path) -> int:
     n_argv = len({argv for argv, _ in keys})
     print(f"{n_argv} argv, {len(keys)} runs, {len(runs[0])} differ, "
           f"{len(runs[1])} only in before, {len(runs[2])} only in after")
-    for func in LIB_FUNCTIONS:
+    for func in [*LIB_FUNCTIONS, "spheroid_report"]:
         total, moved, before, after = ([k for k in group if k.split(" #")[0] == func]
                                        for group in (names, *libs))
         delta = max((_largest_change(left_lib[k], right_lib[k]) for k in moved),
