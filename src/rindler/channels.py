@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qmat import _dag, _hermitian, _jacobi
-from .unruh import _check_angle
+from .unruh import _check_angle, _reals
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +83,10 @@ def amplitude_damping(gamma: float) -> KrausMap:
     The convention matches unruh_kraus: amplitude_damping(sin^2 r) equals
     unruh_kraus(r) up to the last bit, as sqrt(1 - sin^2 r) may not be cos r.
     """
-    if not 0.0 <= gamma <= 1.0:
+    g = _reals(gamma)
+    if not 0.0 <= g <= 1.0:
         raise ValueError(f"damping strength {gamma} outside [0, 1]")
-    return _damping(np.sqrt(1.0 - gamma), np.sqrt(gamma), 1)
+    return _damping(np.sqrt(1.0 - g), np.sqrt(g), 1)
 
 
 def inverse_unruh(r: float) -> KrausMap:

@@ -221,37 +221,26 @@ _TELEPORT_FORM = 0.25 * np.einsum(
 ).reshape(16, 16, 16)
 
 
-# cos and sin of 2 pi j / _TURNS by libm, as in geometry (numpy's own loops may
-# be SIMD ones, CPU-dependent); _TELEPORT_BLOCK samples' temporaries fit in cache.
+# Row j holds cos and sin of 2 pi j / _TURNS by libm, as in geometry (numpy's own
+# loops may be SIMD ones, CPU-dependent); _TELEPORT_BLOCK samples' temporaries fit in cache.
 _TURNS, _TELEPORT_BLOCK = 4096, 8192
 _TURN_ANGLES = (2.0 * np.pi / _TURNS * np.arange(_TURNS)).tolist()
-_TURN_COS, _TURN_SIN = (np.array(list(map(f, _TURN_ANGLES))) for f in (math.cos, math.sin))
-
-
-def _cos_sin_turn(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # cos and sin of 2 pi u, 0 <= u < 1: table entry k = floor(_TURNS u) turned by
-    # d = 2 pi (_TURNS u - k) / _TURNS < 1.6e-3, to d^5 (the rest is below 1e-19).
-    t = u * _TURNS  # exact, as is t - k: _TURNS is a power of two
-    k = t.astype(np.intp)
-    d = (t - k) * (2.0 * np.pi / _TURNS)
-    d2 = d * d
-    sin_d, cos_d_less_1 = d - d * d2 * (1.0 / 6.0 - d2 / 120.0), d2 * (d2 / 24.0 - 0.5)
-    c, s = _TURN_COS[k], _TURN_SIN[k]
-    return c + (c * cos_d_less_1 - s * sin_d), s + (s * cos_d_less_1 + c * sin_d)
+_TURN_COS_SIN = np.column_stack([list(map(f, _TURN_ANGLES)) for f in (math.cos, math.sin)])
 
 
 def _teleport_table(rho: np.ndarray, samples: int, seed) -> np.ndarray:
-    # Mean fidelity [p, k] of correction p after outcome k: <R_pk, M> / samples,
-    # M = sum_n v_n v_n^T over the seeded Haar draws, summed block by block.
-    u_z, u_phi = np.random.default_rng(seed).random((2, samples))  # n_z's u first
+    # Mean fidelity [p, k] of correction p after outcome k: <R_pk, M> / samples, M =
+    # sum_n v_n v_n^T over the seeded draws by blocks; the azimuth is node floor(_TURNS u).
+    draws = np.random.default_rng(seed).random((2, samples))  # n_z's u first
     moments, v = np.zeros((4, 4)), np.ones((4, min(samples, _TELEPORT_BLOCK)))
     for start in range(0, samples, _TELEPORT_BLOCK):
-        n_z = 1.0 - 2.0 * u_z[start:start + _TELEPORT_BLOCK]
-        cos_phi, sin_phi = _cos_sin_turn(u_phi[start:start + _TELEPORT_BLOCK])
-        sin_theta, w = np.sqrt((1.0 - n_z) * (1.0 + n_z)), v[:, :n_z.size]
-        w[1], w[2], w[3] = sin_theta * cos_phi, sin_theta * sin_phi, n_z
-        # einsum's own loop, not BLAS: the sum's order does not depend on threads.
-        moments += np.einsum("in,jn->ij", w, w)
+        (u_z, u_phi), w = draws[:, start:start + _TELEPORT_BLOCK], v[:, :samples - start]
+        n_z = np.subtract(1.0, 2.0 * u_z, out=w[3])
+        np.multiply(_TURN_COS_SIN.take((u_phi * _TURNS).astype(np.intp), 0).T,
+                    np.sqrt((1.0 - n_z) * (1.0 + n_z)), out=w[1:3])
+        # M[:, 1:] by einsum's own loop, not BLAS, whose order depends on threads.
+        moments[:, 1:] += np.einsum("in,jn->ij", w, w[1:])
+    moments[0, 0], moments[1:, 0] = samples, moments[0, 1:]  # M[0, 0] counts the samples
     form = (_TELEPORT_FORM @ rho.ravel()).real.reshape(4, 4, 4, 4)
     return np.einsum("pkij,ij->pk", form, moments) / samples
 
@@ -259,22 +248,23 @@ def _teleport_table(rho: np.ndarray, samples: int, seed) -> np.ndarray:
 def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
     """Monte-Carlo average fidelity of teleportation through rho.
 
-    Haar-uniform pure inputs are drawn from a seeded generator, the
-    sender measures in the Bell basis, and for each outcome the receiver
-    applies the Pauli (or identity) correction with the highest average
-    fidelity. Each fidelity is a quadratic form v^T R_pk v in the input's
-    Bloch vector v = (1, n_x, n_y, n_z), so the mean over the draws is
-    <R_pk, M> / samples, with M the 4x4 sum of v v^T over the draws; the
-    estimate is sum_k max_p of these means. Rounded addition is monotone,
-    so the per-outcome maxima, summed in outcome order, are exactly the
-    best of all 256 assignments of a correction to each outcome. M is summed
-    in blocks of 8192 samples, with cos and sin of the azimuth from a table
-    and a polynomial; only the uniform draws, 16 bytes a sample, grow with N.
+    Pure inputs are drawn from a seeded generator, n_z uniform on [-1, 1]
+    and the azimuth uniform on the 4096 nodes 2 pi j / 4096; the sender
+    measures in the Bell basis, and for each outcome the receiver applies
+    the Pauli (or identity) correction with the highest average fidelity.
+    Each fidelity is a quadratic form v^T R_pk v in the input's Bloch
+    vector v = (1, n_x, n_y, n_z), so the mean over the draws is
+    <R_pk, M> / samples, with M the 4x4 sum of v v^T over the draws. M and
+    a fidelity's variance read the azimuth's moments to degree 4, where
+    the nodes are Haar's. The estimate is sum_k max_p of these means:
+    rounded addition is monotone, so it is exactly the best of all 256
+    assignments of a correction to each outcome. M is summed in blocks of
+    8192 samples; only the uniform draws, 16 bytes a sample, grow with N.
 
     Parameters
     ----------
     rho : two-qubit resource state
-    samples : number of Haar samples, a whole number (int or float) >= 1
+    samples : number of samples, a whole number (int or float) >= 1
     seed : generator seed; identical seeds reproduce the estimate bit for bit
     """
     rho, _ = _two_qubit(rho, vectors=False)

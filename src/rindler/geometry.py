@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qmat import PAULIS, _whole
-from .unruh import _check_angle
+from .unruh import _check_angle, _reals
 
 
 class BlochVector(NamedTuple):
@@ -42,11 +42,12 @@ def bloch_of(rho: np.ndarray) -> BlochVector:
 
 
 def _check_sphere_angles(theta: float, phi: float) -> tuple[float, float]:
-    if not 0.0 <= theta <= np.pi + 1e-12:
+    t, p = _reals(theta), _reals(phi)
+    if not 0.0 <= t <= np.pi + 1e-12:
         raise ValueError(f"polar angle {theta} outside [0, pi]")
-    if not 0.0 <= phi < 2.0 * np.pi:
+    if not 0.0 <= p < 2.0 * np.pi:
         raise ValueError(f"azimuthal angle {phi} outside [0, 2*pi)")
-    return float(theta), float(phi)
+    return float(t), float(p)
 
 
 def image_of_pure(theta: float, phi: float, r: float) -> BlochVector:

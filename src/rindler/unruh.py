@@ -16,12 +16,19 @@ import numpy as np
 R_MAX = np.pi / 4
 
 
-def _positive(x, what: str, arrays: bool = False) -> np.ndarray:
+def _reals(x, arrays: bool = False) -> np.ndarray:
+    # x as floats; nan, which fails every range check, if x is no real number (with
+    # arrays, no non-empty array of them). A numeric str is no number.
     x, f = np.asarray(x), np.empty(0)
     with contextlib.suppress(TypeError, OverflowError):  # * 1.0 fails on a str, None, huge int
         f = np.asarray(x * 1.0, float) if x.dtype.kind in "biufO" else f
-    if not (f.size and (arrays or not f.ndim) and 0 < f.min() and f.max() < np.inf):
-        raise ValueError(f"{what} must be positive and finite, got {x}")
+    return f if f.size and (arrays or not f.ndim) else np.asarray(np.nan)
+
+
+def _positive(x, what: str, arrays: bool = False) -> np.ndarray:
+    f = _reals(x, arrays)
+    if not (0 < f.min() and f.max() < np.inf):
+        raise ValueError(f"{what} must be positive and finite, got {np.asarray(x)}")
     return f
 
 
@@ -56,11 +63,11 @@ class UnruhParams:
         object.__setattr__(self, "r", float(np.arccos(cos_r(self.a, self.omega))))
 
 
-def _check_angle(r: float) -> float:
-    arr = np.asarray(r)
+def _check_angle(r: float, arrays: bool = False) -> float:
+    arr = _reals(r, arrays)
     bad = ~((0.0 <= arr) & (arr <= R_MAX + 1e-12))
     if np.count_nonzero(bad):
-        raise ValueError(f"mixing angle {arr[bad][0]} outside [0, pi/4]")
+        raise ValueError(f"mixing angle {np.asarray(r)[bad][0]} outside [0, pi/4]")
     return arr if arr.ndim else float(arr)
 
 
@@ -85,9 +92,9 @@ def shared_state(r: float) -> np.ndarray:
     This is the mode-II partial trace of three_mode_state(r): an X-form
     matrix with diagonal (cos^2 r, sin^2 r, 0, 1)/2 and coherence
     cos(r)/2 between |00> and |11>. At r = 0 it is the maximally
-    entangled pair. An array of angles gives a stack (..., 4, 4).
+    entangled pair. A non-empty array of angles gives a stack (..., 4, 4).
     """
-    r = _check_angle(r)
+    r = _check_angle(r, arrays=True)
     c = np.cos(r)
     rho = np.zeros(np.shape(r) + (4, 4), dtype=complex)
     rho[..., 0, 0] = c * c / 2.0

@@ -76,10 +76,11 @@ PAULI_VECTOR = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def haar_inputs(samples, seed):
-    """The seeded Haar inputs psi[n], drawn as the estimator draws them."""
+    """The seeded inputs psi[n], drawn as the estimator draws them: n_z uniform,
+    and the azimuth at node floor(4096 u) of a uniform grid of 4096."""
     rng = np.random.default_rng(seed)
     theta = np.arccos(1.0 - 2.0 * rng.random(samples))
-    phi = 2.0 * np.pi * rng.random(samples)
+    phi = 2.0 * np.pi / 4096 * np.floor(4096 * rng.random(samples))
     return np.stack(
         [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1
     )
@@ -476,27 +477,34 @@ class TestTeleportFidelityMc:
             tracemalloc.stop()
         assert peak < 4e6
 
-    def test_cos_sin_turn(self):
-        # The table-plus-polynomial cos and sin of 2 pi u on seeded draws, at
-        # every table node and its neighbours, and at the quarter turns.
-        turns = correlations._TURNS
-        nodes = np.arange(turns) / turns
-        u = np.concatenate([np.random.default_rng(29).random(10**6), nodes,
-                            np.nextafter(nodes, 1.0), np.nextafter(nodes[1:], -1.0),
-                            [0.25, 0.5, 0.75, 1.0 - 2.0**-53]])
-        c, s = correlations._cos_sin_turn(u)
-        assert np.abs(c - np.cos(2.0 * np.pi * u)).max() <= 1.5e-15
-        assert np.abs(s - np.sin(2.0 * np.pi * u)).max() <= 1.5e-15
-        assert np.abs(c * c + s * s - 1.0).max() <= 2 * np.finfo(float).eps
-        # At a node the value is libm's, bit for bit.
-        angles = (2.0 * np.pi / turns * np.arange(turns)).tolist()
-        at_nodes = correlations._cos_sin_turn(nodes)
-        assert at_nodes[0].tolist() == list(map(math.cos, angles))
-        assert at_nodes[1].tolist() == list(map(math.sin, angles))
+    @pytest.mark.parametrize("a, b", [(a, b) for a in range(5) for b in range(5 - a)])
+    def test_azimuth_grid_has_the_circle_moments(self, a, b):
+        # The estimate reads moments of (cos phi, sin phi) of degree 4 at most, and
+        # on the 4096 nodes each is the uniform circle's: 0 unless a and b are even,
+        # else (a - 1)!! (b - 1)!! / (a + b)!!.
+        cos, sin = correlations._TURN_COS_SIN.T.tolist()
+        mean = math.fsum(c**a * s**b for c, s in zip(cos, sin)) / len(cos)
+        double_factorial = {-1: 1, 0: 1, 1: 1, 2: 2, 3: 3, 4: 8}
+        want = 0.0 if a % 2 or b % 2 else (
+            double_factorial[a - 1] * double_factorial[b - 1] / double_factorial[a + b])
+        assert abs(mean - want) <= 4 * np.finfo(float).eps
+
+    def test_one_sample_reads_the_libm_node(self):
+        # At one sample M is v v^T of the drawn input, with cos and sin of its
+        # azimuth libm's at node floor(4096 u), bit for bit.
+        rho = random_two_qubit_density(np.random.default_rng(29))
+        form = (correlations._TELEPORT_FORM @ rho.ravel()).real.reshape(4, 4, 4, 4)
+        for seed in range(200):
+            u_z, u_phi = np.random.default_rng(seed).random(2).tolist()
+            n_z, angle = 1.0 - 2.0 * u_z, 2.0 * math.pi / 4096 * math.floor(4096 * u_phi)
+            sin_theta = math.sqrt((1.0 - n_z) * (1.0 + n_z))
+            v = np.array([1.0, sin_theta * math.cos(angle), sin_theta * math.sin(angle), n_z])
+            want = np.einsum("pkij,ij->pk", form, np.outer(v, v))
+            assert correlations._teleport_table(rho, 1, seed).tobytes() == want.tobytes()
 
     def test_golden_estimates(self):
-        # repr of each estimate, recorded when the kernel took cos and sin of
-        # phi from a table and a polynomial, in blocks of samples.
+        # repr of each estimate, recorded when the kernel took the azimuth from
+        # its 4096-node table, in blocks of samples.
         golden = json.loads((GOLDEN / "teleport_mc.json").read_text())
         states = {
             "random": np.array([[complex(*z) for z in row]

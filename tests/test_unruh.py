@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rindler.channels import amplitude_damping, inverse_unruh, unruh_kraus
+from rindler.geometry import image_of_pure, radius_from_center, spheroid_report, surface_grid
 from rindler.qmat import partial_trace, sqrt_psd, validate_density_matrix
 from rindler.unruh import (
     UnruhParams,
@@ -115,6 +119,33 @@ class TestUnruhTemperature:
 )
 def test_rejects_what_is_no_finite_positive_real(func, args, what):
     with pytest.raises(ValueError, match=f"^{what} must be positive and finite, got "):
+        func(*args)
+
+
+# Each angle or damping check rejects what is no real number, and an entry point
+# that takes one angle rejects arrays and lists, with the package's message.
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        (shared_state, ("abc",), "mixing angle abc outside"),
+        (shared_state, ([],), "mixing angle [] outside"),
+        (surface_grid, ("0.3", 2, 2), "mixing angle 0.3 outside"),
+        (image_of_pure, (0.1, 0.1, "0.3"), "mixing angle 0.3 outside"),
+        (spheroid_report, (None,), "mixing angle None outside"),
+        (spheroid_report, ([0.1, 0.2],), "mixing angle [0.1 0.2] outside"),
+        (three_mode_state, ([0.1, 0.2],), "mixing angle [0.1 0.2] outside"),
+        (inverse_unruh, (1j,), "mixing angle 1j outside"),
+        (unruh_kraus, ([],), "mixing angle [] outside"),
+        (unruh_kraus, (np.array([0.1, 0.2]),), "mixing angle [0.1 0.2] outside"),
+        (amplitude_damping, ("0.5",), "damping strength 0.5 outside"),
+        (amplitude_damping, (None,), "damping strength None outside"),
+        (radius_from_center, ("1",), "polar angle 1 outside"),
+        (image_of_pure, ("1", 0.1, 0.3), "polar angle 1 outside"),
+        (image_of_pure, (0.1, None, 0.3), "azimuthal angle None outside"),
+    ],
+)
+def test_angle_checks_reject_what_is_no_real_number(func, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         func(*args)
 
 
