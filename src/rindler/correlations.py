@@ -17,8 +17,6 @@ import numpy as np
 from .qmat import (
     IDENTITY_2,
     PAULIS,
-    SIGMA_X,
-    SIGMA_Z,
     EigenDecomposition,
     _checked_eig,
     _dag,
@@ -77,10 +75,14 @@ _PAULI_ENTRY = _PAULI_BASIS.sum(axis=-2).transpose(2, 0, 1)
 _YY_SIGNS = _PAULI_ENTRY[:, 2, 2].real
 
 
-def _decompose(rho: np.ndarray) -> TwoQubitDecomposition:
-    # tr(rho P) = sum_k rho[k, row(k)] P[row(k), k], paired as np.trace adds them.
+def _pauli_table(rho: np.ndarray) -> np.ndarray:
+    # t[..., i, j] = tr(rho s_i (x) s_j), its four terms paired as np.trace adds them.
     g = [(rho[..., k, _PAULI_ROW[k]] * _PAULI_ENTRY[k]).real for k in range(4)]
-    t = (g[0] + g[1]) + (g[2] + g[3])
+    return (g[0] + g[1]) + (g[2] + g[3])
+
+
+def _decompose(rho: np.ndarray) -> TwoQubitDecomposition:
+    t = _pauli_table(rho)
     return TwoQubitDecomposition(t[..., 1:, 0], t[..., 0, 1:], t[..., 1:, 1:])
 
 
@@ -103,17 +105,14 @@ def _gamma_spectrum(rho: np.ndarray) -> np.ndarray:
     return _jacobi(gamma.swapaxes(-1, -2) @ gamma, vectors=False).eigenvalues
 
 
-def _bell_B(lam: np.ndarray) -> np.ndarray:
-    return lam[..., 0] + lam[..., 1]
-
-
 def bell_B(rho: np.ndarray) -> float:
     """Sum of the two largest eigenvalues of gamma^T gamma.
 
     Some CHSH setting violates the classical bound exactly when the
     returned value exceeds 1.
     """
-    return float(_bell_B(_gamma_spectrum(_two_qubit(rho, vectors=False)[0])))
+    lam = _gamma_spectrum(_two_qubit(rho, vectors=False)[0])
+    return float(lam[0] + lam[1])
 
 
 def _concurrence(rho: np.ndarray, dec: EigenDecomposition) -> np.ndarray:
@@ -206,19 +205,12 @@ def qmid(rho: np.ndarray) -> float:
     return float(_qmid(rho, *_information(rho, dec)))
 
 
-# Amplitudes A[a, b] of the Bell states sum_ab A[a, b] |ab>: (s (x) I)|Phi+>
-# for s = I, Z, X, ZX gives Phi+, Phi-, Psi+, Psi-.
-_BELL_OUTCOMES = np.array([IDENTITY_2, SIGMA_Z, SIGMA_X, SIGMA_Z @ SIGMA_X])
-_BELL_OUTCOMES /= np.sqrt(2.0)
-# With psi psi^dag = sum_i v_i s_i / 2 and v = (1, n), correction s_p after
-# outcome k has fidelity v^T R_pk v, where R[p, k, i, j], linear in rho, is
-# tr(rho (A_k^dag s_i A_k)^T (x) s_p^dag s_j s_p) / 4. _TELEPORT_FORM maps
-# rho's entries (b, r, c, s) to the (p, k, i, j) of R, in 16x16 blocks BLAS won't thread.
-_TELEPORT_FORM = 0.25 * np.einsum(
-    "kibc,pjsr->pkijbrcs",
-    np.einsum("kab,iad,kdc->kibc", _BELL_OUTCOMES.conj(), _SIGMAS, _BELL_OUTCOMES),
-    np.einsum("pds,jde,per->pjsr", np.conj(_SIGMAS), _SIGMAS, _SIGMAS),
-).reshape(16, 16, 16)
+# Correction s_p after Bell outcome k, (s (x) I)|Phi+> for s = I, Z, X, ZX, has fidelity
+# v^T R_pk v (psi psi^dag = sum_i v_i s_i / 2), R_pk = _TELEPORT_SIGNS[p, k] * t: s_p turns
+# s_j to _COMMUTES[p, j] s_j; outcome k turns s_i as s_(0, 3, 1, 2)[k] does, then Y to -Y.
+_COMMUTES = np.einsum("pab,jbc,pcd,jda->pj", *4 * [_SIGMAS]).real / 2
+_TELEPORT_SIGNS = np.einsum("ki,i,pj->pkij", _COMMUTES[[0, 3, 1, 2]],
+                            np.square(_SIGMAS).sum((1, 2)).real / 2, _COMMUTES) / 8
 
 
 # Row j holds cos and sin of 2 pi j / _TURNS by libm, as in geometry (numpy's own
@@ -241,8 +233,7 @@ def _teleport_table(rho: np.ndarray, samples: int, seed) -> np.ndarray:
         # M[:, 1:] by einsum's own loop, not BLAS, whose order depends on threads.
         moments[:, 1:] += np.einsum("in,jn->ij", w, w[1:])
     moments[0, 0], moments[1:, 0] = samples, moments[0, 1:]  # M[0, 0] counts the samples
-    form = (_TELEPORT_FORM @ rho.ravel()).real.reshape(4, 4, 4, 4)
-    return np.einsum("pkij,ij->pk", form, moments) / samples
+    return np.einsum("pkij,ij->pk", _TELEPORT_SIGNS, _pauli_table(rho) * moments) / samples
 
 
 def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
@@ -253,8 +244,9 @@ def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
     measures in the Bell basis, and for each outcome the receiver applies
     the Pauli (or identity) correction with the highest average fidelity.
     Each fidelity is a quadratic form v^T R_pk v in the input's Bloch
-    vector v = (1, n_x, n_y, n_z), so the mean over the draws is
-    <R_pk, M> / samples, with M the 4x4 sum of v v^T over the draws. M and
+    vector v = (1, n_x, n_y, n_z): R_pk[i, j] is a sign times t[i, j] / 8,
+    t[i, j] = tr(rho s_i (x) s_j) the state's Pauli table. The mean over
+    the draws is <R_pk, M> / samples, M the 4x4 sum of v v^T. M and
     a fidelity's variance read the azimuth's moments to degree 4, where
     the nodes are Haar's. The estimate is sum_k max_p of these means:
     rounded addition is monotone, so it is exactly the best of all 256
@@ -267,9 +259,8 @@ def teleport_fidelity_mc(rho: np.ndarray, samples: int, seed: int = 0) -> float:
     samples : number of samples, a whole number (int or float) >= 1
     seed : generator seed; identical seeds reproduce the estimate bit for bit
     """
-    rho, _ = _two_qubit(rho, vectors=False)
-    table = _teleport_table(rho, _whole(samples, 1, "samples"), seed)
-    return float(sum(table.max(axis=0)))
+    rho = _two_qubit(rho, vectors=False)[0]
+    return float(sum(_teleport_table(rho, _whole(samples, 1, "samples"), seed).max(axis=0)))
 
 
 def measure_report(rho: np.ndarray) -> MeasureReport:
@@ -282,7 +273,7 @@ def measure_report(rho: np.ndarray) -> MeasureReport:
     lam = _gamma_spectrum(rho)
     info, local, spectra = _information(rho, dec)
     rep = MeasureReport(
-        bell_B=_bell_B(lam),
+        bell_B=lam[..., 0] + lam[..., 1],
         concurrence=_concurrence(rho, dec),
         f_max=_f_max(lam),
         qmid=_qmid(rho, info, local, spectra),

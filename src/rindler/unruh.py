@@ -18,17 +18,25 @@ R_MAX = np.pi / 4
 
 def _reals(x, arrays: bool = False) -> np.ndarray:
     # x as floats; nan, which fails every range check, if x is no real number (with
-    # arrays, no non-empty array of them). A numeric str is no number.
-    x, f = np.asarray(x), np.empty(0)
-    with contextlib.suppress(TypeError, OverflowError):  # * 1.0 fails on a str, None, huge int
-        f = np.asarray(x * 1.0, float) if x.dtype.kind in "biufO" else f
-    return f if f.size and (arrays or not f.ndim) else np.asarray(np.nan)
+    # arrays, no non-empty array of them). A numeric str or a ragged list is none.
+    with contextlib.suppress(ValueError, TypeError, OverflowError):
+        x = np.asarray(x)
+        if x.dtype.kind in "biufO" and x.size and (arrays or not x.ndim):
+            return np.asarray(x * 1.0, float)
+    return np.asarray(np.nan)
+
+
+def _shown(x) -> np.ndarray:
+    # np.asarray(x) for a message; a ragged list, no array to numpy, prints as given.
+    with contextlib.suppress(ValueError):
+        return np.asarray(x)
+    return np.fromiter([x], object).reshape(())
 
 
 def _positive(x, what: str, arrays: bool = False) -> np.ndarray:
     f = _reals(x, arrays)
     if not (0 < f.min() and f.max() < np.inf):
-        raise ValueError(f"{what} must be positive and finite, got {np.asarray(x)}")
+        raise ValueError(f"{what} must be positive and finite, got {_shown(x)}")
     return f
 
 
@@ -67,7 +75,7 @@ def _check_angle(r: float, arrays: bool = False) -> float:
     arr = _reals(r, arrays)
     bad = ~((0.0 <= arr) & (arr <= R_MAX + 1e-12))
     if np.count_nonzero(bad):
-        raise ValueError(f"mixing angle {np.asarray(r)[bad][0]} outside [0, pi/4]")
+        raise ValueError(f"mixing angle {_shown(r)[bad][0]} outside [0, pi/4]")
     return arr if arr.ndim else float(arr)
 
 

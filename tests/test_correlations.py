@@ -444,6 +444,18 @@ class TestTeleportFidelityMc:
             exact = sum(haar_teleport_table(rho).max(axis=0))
             assert exact == pytest.approx(f_max(rho), abs=1e-14)
 
+    def test_signs_under_haar_moments_equal_the_haar_oracle(self):
+        # Haar's M / N is diag(1, 1/3, 1/3, 1/3); the sign table, contracted with
+        # the Pauli table under it, is the oracle's exact mean to roundoff.
+        rng = np.random.default_rng(30)
+        haar = np.diag([1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
+        for n in range(200):
+            r = rng.random() * np.pi / 4
+            rho = random_two_qubit_density(rng) if n % 2 else shared_state(r)
+            got = np.einsum("pkij,ij->pk", correlations._TELEPORT_SIGNS,
+                            correlations._pauli_table(rho) * haar)
+            assert np.abs(got - haar_teleport_table(rho)).max() <= 4 * np.finfo(float).eps
+
     @pytest.mark.parametrize("seed", [3, 11, 2024])
     def test_within_five_standard_errors_of_haar_oracle(self, seed):
         # f_max is only an upper bound on a general state; the exact Haar
@@ -493,18 +505,20 @@ class TestTeleportFidelityMc:
         # At one sample M is v v^T of the drawn input, with cos and sin of its
         # azimuth libm's at node floor(4096 u), bit for bit.
         rho = random_two_qubit_density(np.random.default_rng(29))
-        form = (correlations._TELEPORT_FORM @ rho.ravel()).real.reshape(4, 4, 4, 4)
+        table = correlations._pauli_table(rho)
         for seed in range(200):
             u_z, u_phi = np.random.default_rng(seed).random(2).tolist()
             n_z, angle = 1.0 - 2.0 * u_z, 2.0 * math.pi / 4096 * math.floor(4096 * u_phi)
             sin_theta = math.sqrt((1.0 - n_z) * (1.0 + n_z))
             v = np.array([1.0, sin_theta * math.cos(angle), sin_theta * math.sin(angle), n_z])
-            want = np.einsum("pkij,ij->pk", form, np.outer(v, v))
+            want = np.einsum("pkij,ij->pk", correlations._TELEPORT_SIGNS,
+                             table * np.outer(v, v))
             assert correlations._teleport_table(rho, 1, seed).tobytes() == want.tobytes()
 
     def test_golden_estimates(self):
         # repr of each estimate, recorded when the kernel took the azimuth from
-        # its 4096-node table, in blocks of samples.
+        # its 4096-node table, in blocks of samples, and read the state's Pauli
+        # table through the sign table.
         golden = json.loads((GOLDEN / "teleport_mc.json").read_text())
         states = {
             "random": np.array([[complex(*z) for z in row]

@@ -96,7 +96,9 @@ class TestUnruhTemperature:
 
 
 # Anything but a finite positive real number (for cos_r's a, also a non-empty
-# array of them) fails with the package's message, never numpy's or Python's.
+# array of them; a ragged list, of which numpy makes no array, is neither) fails
+# with the package's message, never numpy's or Python's.
+RAGGED = [[0.1], [0.1, 0.2]]
 @pytest.mark.parametrize(
     "func, args, what",
     [
@@ -115,11 +117,19 @@ class TestUnruhTemperature:
         (unruh_temperature, ("abc",), "acceleration"),
         (unruh_temperature, ("1.5",), "acceleration"),
         (unruh_temperature, (np.array([1.0, 2.0]),), "acceleration"),
+        (cos_r, (RAGGED, 0.1), "acceleration"),
+        (cos_r, (0.1, RAGGED), "mode frequency"),
+        (unruh_temperature, (RAGGED,), "acceleration"),
     ],
 )
 def test_rejects_what_is_no_finite_positive_real(func, args, what):
     with pytest.raises(ValueError, match=f"^{what} must be positive and finite, got "):
         func(*args)
+
+
+def test_a_ragged_list_is_shown_as_given():
+    with pytest.raises(ValueError, match=re.escape("got [[0.1], [0.1, 0.2]]")):
+        cos_r(RAGGED, 0.1)
 
 
 # Each angle or damping check rejects what is no real number, and an entry point
@@ -134,6 +144,9 @@ def test_rejects_what_is_no_finite_positive_real(func, args, what):
         (spheroid_report, (None,), "mixing angle None outside"),
         (spheroid_report, ([0.1, 0.2],), "mixing angle [0.1 0.2] outside"),
         (three_mode_state, ([0.1, 0.2],), "mixing angle [0.1 0.2] outside"),
+        (shared_state, (RAGGED,), "mixing angle [[0.1], [0.1, 0.2]] outside"),
+        (three_mode_state, (RAGGED,), "mixing angle [[0.1], [0.1, 0.2]] outside"),
+        (spheroid_report, (RAGGED,), "mixing angle [[0.1], [0.1, 0.2]] outside"),
         (inverse_unruh, (1j,), "mixing angle 1j outside"),
         (unruh_kraus, ([],), "mixing angle [] outside"),
         (unruh_kraus, (np.array([0.1, 0.2]),), "mixing angle [0.1 0.2] outside"),

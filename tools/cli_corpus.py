@@ -310,7 +310,9 @@ def lib_states() -> list:
         else:
             parts = rng.integers(-4, 5, size=(2, 4, k)) / 4.0
         a = parts[0] + 1j * parts[1]
-        m = a @ a.conj().T
+        # A A^dag by einsum's own loop: a BLAS product would round by the CPU's
+        # kernel, and dumps under two kernels would compare their inputs.
+        m = np.einsum("ij,kj->ik", a, a.conj())
         tr = np.trace(m).real
         if tr > 1e-3:
             states.append(m / tr)
