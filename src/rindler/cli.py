@@ -29,7 +29,7 @@ SWEEP_HEADER = "a,r,bell_half,concurrence,f_max,qmid"
 _FIELDS = SWEEP_HEADER.split(",")
 CSV_ROW = ",".join(["%.12g"] * len(_FIELDS)) + "\n"
 JSON_ROW = "  {\n" + ",\n".join(f'    "{f}": %s' for f in _FIELDS) + "\n  }"
-# Most rows, grid points or quadrature steps: numpy cannot size 256 bytes each past it.
+# Most rows or grid points: numpy cannot size 256 bytes each past it.
 MAX_COUNT = sys.maxsize // 256
 QMID_NOTE = (
     "# qmid convention: degenerate marginal eigenbases fall back to the"
@@ -202,11 +202,9 @@ def cmd_geometry(args) -> int:
         return _usage(
             f"--n-theta and --n-phi must be >= 2, got {args.n_theta}, {args.n_phi}"
         )
-    if args.steps < 100:
-        return _usage(f"--steps must be >= 100 for the quadrature, got {args.steps}")
-    if args.n_theta * args.n_phi > MAX_COUNT or args.steps > MAX_COUNT:
-        return _usage(f"--n-theta * --n-phi and --steps must be <= {MAX_COUNT},"
-                      f" got {args.n_theta} * {args.n_phi} and {args.steps}")
+    if args.n_theta * args.n_phi > MAX_COUNT:
+        return _usage(f"--n-theta * --n-phi must be <= {MAX_COUNT},"
+                      f" got {args.n_theta} * {args.n_phi}")
 
     # One NUL-padded row a point after the header, x and y apart (half the temporaries);
     # translate drops the NULs, in about 0.6 the time of flat[flat != 0].
@@ -222,14 +220,14 @@ def cmd_geometry(args) -> int:
     _emit(text.translate(None, b"\0"), args.out)
 
     # The summary keys are the SpheroidReport field names.
-    rep = spheroid_report(args.r, args.steps)
+    rep = spheroid_report(args.r)
     fields = " ".join(f"{k}={_fmt(v)}" for k, v in zip(rep._fields[1:], rep[1:]))
     print(f"# center=({','.join(map(_fmt, rep.center))}) {fields}")
     return 0
 
 
 # Each subcommand: its function, its help and its options, each
-# (flag, type or choices, default[, help]); a default of ... marks a required flag.
+# (flag, type or choices, default); a default of ... marks a required flag.
 COMMANDS = {
     "sweep": (cmd_sweep, "tabulate measures against acceleration", [
         ("--omega", float, 0.1), ("--a-min", float, 0.05), ("--a-max", float, 50.0),
@@ -240,7 +238,6 @@ COMMANDS = {
         ("--mode", ("choi", "kraus", "invert"), "kraus"), ("--out", str, None)]),
     "geometry": (cmd_geometry, "sample the image spheroid", [
         ("--r", float, ...), ("--n-theta", int, 50), ("--n-phi", int, 50),
-        ("--steps", int, 10000, "Simpson subintervals for the volume quadrature"),
         ("--out", str, None)]),
 }
 
@@ -257,10 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text, options) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(func=func)
-        for flag, kind, default, *text in options:
+        for flag, kind, default in options:
             kwargs = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             cmd.add_argument(flag, default=None if default is ... else default,
-                             required=default is ..., help=(text or [None])[0], **kwargs)
+                             required=default is ..., **kwargs)
     return parser
 
 
@@ -271,8 +268,8 @@ def _table_args(argv):
             or not all(isinstance(a, str) for a in argv) or argv[0] not in COMMANDS):
         return None
     func, _, options = COMMANDS[argv[0]]
-    kinds = {flag: kind for flag, kind, *_ in options}
-    values = {flag[2:].replace("-", "_"): default for flag, _, default, *_ in options}
+    kinds = {flag: kind for flag, kind, _ in options}
+    values = {flag[2:].replace("-", "_"): default for flag, _, default in options}
     for flag, text in zip(argv[1::2], argv[2::2]):
         kind = kinds.get(flag, ())  # an unknown flag has no choices
         if text.startswith("-") or isinstance(kind, tuple) and text not in kind:

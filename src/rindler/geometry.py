@@ -9,7 +9,6 @@ suite against direct channel application.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -71,47 +70,20 @@ def radius_from_center(theta: float) -> float:
     return float(np.sqrt(3.0 - np.cos(2.0 * theta)) / (2.0 * np.sqrt(2.0)))
 
 
-@functools.lru_cache(maxsize=8)
-def _simpson_nodes(steps: int) -> np.ndarray:
-    """Read-only math.sin at the steps + 1 nodes of [0, pi]."""
-    sines = np.array(list(map(math.sin, np.linspace(0.0, np.pi, steps + 1).tolist())))
-    sines.flags.writeable = False
-    return sines
-
-
-def spheroid_report(r: float, integration_steps: int = 10000) -> SpheroidReport:
+def spheroid_report(r: float) -> SpheroidReport:
     """Geometric summary of the channel's image of the Bloch sphere.
 
-    The volume fraction is computed numerically, slicing the image solid
-    perpendicular to the z axis and integrating cross-section area times
-    |dz| with composite Simpson over theta.
-
-    Parameters
-    ----------
-    r : mixing angle in [0, pi/4]
-    integration_steps : Simpson subintervals, a whole number >= 100 (odd
-        counts are rounded up to even)
+    Every field is in closed form: the volume fraction of a spheroid is the
+    product of its semi-axes, equatorial^2 * polar = cos^4 r, and the
+    eccentricity sqrt(1 - (polar / equatorial)^2) is sin r, computed as such
+    since the subtraction cancels as r goes to 0.
     """
     r = _check_angle(r)
-    steps = _whole(integration_steps, 100, "integration_steps")
-    steps += steps % 2
-    sines = _simpson_nodes(steps)
-
-    # Cross-section area pi (c sin t)^2 times |dz/dt| = c^2 sin t >= 0, c = cos r.
-    # float_power calls libm pow per value, so its squares have Python pow's bits
-    # (x * x and np.power can miss the last one). Simpson's 1, 4, 2, ..., 4, 1 add
-    # by numpy's own sums, as a BLAS dot's order depends on its kernel and threads.
-    c = math.cos(r)
-    f = (math.pi * np.float_power(c * sines, 2.0)) * ((c**2) * sines)
-    simpson = (f[0] + f[-1]) + 4.0 * f[1::2].sum() + 2.0 * f[2:-1:2].sum()
-    volume = float(np.pi / steps / 3.0 * simpson)
-    fraction = volume / (4.0 * np.pi / 3.0)
-
     equatorial = float(np.cos(r))
     polar = float(np.cos(r) ** 2)
-    eccentricity = float(np.sqrt(1.0 - (polar / equatorial) ** 2))
     center = BlochVector(0.0, 0.0, -float(np.sin(r) ** 2))
-    return SpheroidReport(center, equatorial, polar, eccentricity, fraction)
+    return SpheroidReport(center, equatorial, polar, float(np.sin(r)),
+                          equatorial**2 * polar)
 
 
 def _image(r: float, theta: np.ndarray, phi: np.ndarray):

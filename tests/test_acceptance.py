@@ -145,7 +145,7 @@ def test_criterion_6_inverse_map():
 
 def test_criterion_7_geometry():
     with criterion(7, "volume fraction 1/4, eccentricity 1/sqrt 2, pole images", 2.0):
-        rep = spheroid_report(np.pi / 4, 10000)
+        rep = spheroid_report(np.pi / 4)
         assert abs(rep.volume_fraction - 0.25) < 1e-6
         assert abs(rep.eccentricity - 1 / np.sqrt(2)) < 1e-12
         assert np.max(np.abs(np.array(rep.center) - [0, 0, -0.5])) < 1e-12

@@ -2,10 +2,10 @@
 and teleport estimates that do not depend on its kernel.
 
 No product on a library or CLI path is large enough for OpenBLAS to hand
-part of it to another thread: Simpson's rule adds by numpy's own sums, and
-the teleport estimate contracts a sign table with the state's Pauli table
-by einsum, with no BLAS product at all. Each test runs a child interpreter
-on this checkout's `src`.
+part of it to another thread: the spheroid report is closed forms of one
+angle, and the teleport estimate contracts a sign table with the state's
+Pauli table by einsum, with no BLAS product at all. Each test runs a child
+interpreter on this checkout's `src`.
 """
 
 import contextlib
@@ -24,9 +24,9 @@ from rindler.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-# Two geometry goldens' argv: 101 Simpson steps, and the default 10^4.
+# Two geometry goldens' argv.
 GEOMETRY_ARGV = [
-    ["geometry", "--r", "0.3", "--n-theta", "37", "--n-phi", "53", "--steps", "101"],
+    ["geometry", "--r", "0.3", "--n-theta", "37", "--n-phi", "53"],
     ["geometry", "--r", repr(np.pi / 4), "--n-theta", "200", "--n-phi", "3"],
 ]
 
@@ -53,8 +53,7 @@ def fingerprint() -> dict:
             assert main(argv) == 0
         digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
     return {
-        "spheroid": [repr(spheroid_report(float(case["r"]), case["steps"]))
-                     for case in spheroids],
+        "spheroid": [repr(spheroid_report(float(case["r"]))) for case in spheroids],
         "teleport": [repr(teleport_fidelity_mc(
             states[case["state"]] if case.get("state") in states
             else shared_state(case["r"]), case["samples"], case["seed"]))

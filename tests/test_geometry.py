@@ -1,12 +1,12 @@
 import json
-import math
+from decimal import Decimal
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rindler import geometry
 from rindler.channels import apply, unruh_kraus
 from rindler.geometry import (
     bloch_of,
@@ -106,7 +106,7 @@ class TestRadiusFromCenter:
 
 class TestSpheroidReport:
     def test_asymptotic_regime(self):
-        rep = spheroid_report(np.pi / 4, 10000)
+        rep = spheroid_report(np.pi / 4)
         assert rep.volume_fraction == pytest.approx(0.25, abs=1e-6)
         assert rep.eccentricity == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         assert_allclose(rep.center, (0, 0, -0.5), atol=1e-12)
@@ -114,109 +114,94 @@ class TestSpheroidReport:
         assert rep.semi_axis_polar == pytest.approx(0.5)
 
     def test_identity_limit(self):
-        rep = spheroid_report(0.0, 1000)
+        rep = spheroid_report(0.0)
         assert rep.volume_fraction == pytest.approx(1.0, abs=1e-9)
         assert rep.eccentricity == pytest.approx(0.0, abs=1e-12)
         assert_allclose(rep.center, (0, 0, 0), atol=1e-14)
 
     def test_intermediate_angle(self):
-        rep = spheroid_report(np.pi / 6, 2000)
+        rep = spheroid_report(np.pi / 6)
         assert_allclose(rep.center, (0, 0, -0.25), atol=1e-12)
         assert rep.semi_axis_equatorial == pytest.approx(np.sqrt(3) / 2)
         assert rep.semi_axis_polar == pytest.approx(0.75)
         assert rep.volume_fraction == pytest.approx(0.5625, abs=1e-6)
 
-    def test_quadrature_matches_axes_product(self):
+    def test_volume_fraction_is_the_axes_product(self):
         # spheroid volume is (4 pi / 3) * equatorial^2 * polar, so the
-        # fraction must equal equatorial^2 * polar for every r
+        # fraction is equatorial^2 * polar for every r, bit for bit
         for r in np.linspace(0, np.pi / 4, 9):
-            rep = spheroid_report(r, 4000)
+            rep = spheroid_report(r)
             want = rep.semi_axis_equatorial ** 2 * rep.semi_axis_polar
-            assert rep.volume_fraction == pytest.approx(want, abs=1e-8)
+            assert rep.volume_fraction == want
 
     def test_eccentricity_axes_identity(self):
         for r in np.linspace(0, np.pi / 4, 9):
-            rep = spheroid_report(r, 1000)
+            rep = spheroid_report(r)
             want = np.sqrt(
                 1 - (rep.semi_axis_polar / rep.semi_axis_equatorial) ** 2
             )
             assert rep.eccentricity == pytest.approx(want, abs=1e-12)
 
-    def test_odd_step_count_is_rounded_up(self):
-        rep = spheroid_report(np.pi / 4, 101)
-        assert rep.volume_fraction == pytest.approx(0.25, abs=1e-6)
-
-    def test_rejects_too_few_steps(self):
-        with pytest.raises(ValueError):
-            spheroid_report(0.1, 50)
-
-    # A count that is not whole fails with the count's name, never truncated.
-    @pytest.mark.parametrize("steps", [100.5, 99.5, float("nan"), float("inf")])
-    def test_rejects_counts_that_are_not_whole(self, steps):
-        with pytest.raises(
-            ValueError, match="integration_steps must be a whole number >= 100"
-        ):
-            spheroid_report(0.3, steps)
-
-    def test_accepts_integral_float_steps(self):
-        assert spheroid_report(0.3, 200.0) == spheroid_report(0.3, 200)
-
     def test_golden_reports(self):
         # repr of every field for 30 angles (0, 1e-8, 0.3, pi/4 and seeded
-        # random ones) at 100, 101, 1000, 10000 and 20000 steps, recorded
-        # while the integrand was a per-node Python loop; 69 volume_fraction
-        # reprs re-recorded, up to 4.9e-16 relative, when Simpson's weights
-        # became numpy's own sums in place of a BLAS dot.
+        # random ones), recorded from the closed forms.
         cases = json.loads((GOLDEN / "spheroid_volume.json").read_text())["cases"]
-        assert len(cases) == 150
+        assert len(cases) == 30
         for case in cases:
-            rep = spheroid_report(float(case["r"]), case["steps"])
+            rep = spheroid_report(float(case["r"]))
             got = {"center": [repr(v) for v in rep.center],
                    **{k: repr(v) for k, v in zip(rep._fields[1:], rep[1:])}}
             assert got == {k: case[k] for k in got}, case
 
-    # The weighted dot the sums replaced, np.dot(weights, integrand), as the
-    # reference: the two add in different orders, so they agree to a few ulps.
-    # The bound is fixed from the dtype; these angles reach 2.3 eps.
-    @pytest.mark.parametrize("steps", [100, 101, 1000, 10000, 20000])
-    def test_simpson_sums_equal_the_weighted_dot(self, steps):
-        even = steps + steps % 2
-        weights = np.r_[1.0, np.tile([4.0, 2.0], even // 2)]
-        weights[-1] = 1.0
-        sines = geometry._simpson_nodes(even)
-        rng = np.random.default_rng(2014 + steps)
-        for r in [0.0, 1e-8, 0.3, np.pi / 4, *rng.uniform(0.0, np.pi / 4, 60)]:
-            c = math.cos(r)
-            integrand = (math.pi * np.float_power(c * sines, 2.0)) * np.abs(-(c**2) * sines)
-            volume = float(np.pi / even / 3.0 * np.dot(weights, integrand))
-            want = volume / (4.0 * np.pi / 3.0)
-            got = spheroid_report(r, steps).volume_fraction
-            assert abs(got - want) <= 64 * np.finfo(float).eps * want, r
 
-    def test_cached_nodes_are_read_only(self):
-        sines = geometry._simpson_nodes(100)
-        assert sines.shape == (101,) and not sines.flags.writeable
-        with pytest.raises(ValueError):
-            sines[0] = 1.0
+# A printed field may miss the correctly rounded 12-digit text of its exact
+# value only where that value lies within TIE_EPS eps (relative) of a rounding
+# tie, as the double lies between them: the fraction is cos r (within 1 ulp,
+# 0.71 eps on [cos pi/4, 1]) to the fourth power with three roundings of eps / 2,
+# under 5 eps from exact (2.6 eps at most here), and sin r is one libm call.
+# The one miss among the 6001 angles below lies 0.79 eps from its tie.
+TIE_EPS = 5
+# Angles: 0, subnormal and tiny ones, the one near-tie miss, pi/4.
+ORACLE_CORNERS = [0.0, 5e-324, 1.922034831393248e-162, 1e-8, 1e-6, 1e-3, 0.3,
+                  0.5767440513215262, np.pi / 4]
 
-    def test_odd_and_even_step_counts_share_one_cache_entry(self):
-        geometry._simpson_nodes.cache_clear()
-        assert spheroid_report(0.3, 101) == spheroid_report(0.3, 102)
-        info = geometry._simpson_nodes.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        assert geometry._simpson_nodes(102).shape == (103,)
+
+def _text_is_exact(got: float, exact) -> bool:
+    """'%.12g' % got is exact's correctly rounded 12-digit value, or exact lies
+    within TIE_EPS eps of a tie between two 12-digit values."""
+    if exact == 0:
+        return got == 0.0
+    e = int(mpmath.floor(mpmath.log10(exact)))
+    scaled = exact * mpmath.mpf(10) ** (11 - e)  # 12 digits before the point
+    if Decimal(format(got, ".12g")) == Decimal(int(mpmath.nint(scaled))).scaleb(e - 11):
+        return True
+    tie = abs(scaled - mpmath.floor(scaled) - 0.5) / scaled
+    return tie <= TIE_EPS * np.finfo(float).eps
+
+
+def test_printed_digits_match_the_exact_values():
+    # volume_fraction = cos^4 r and eccentricity = sin r, against 60-digit
+    # mpmath values from the same double r, on 6001 angles and the corners:
+    # 3001 evenly spaced on [0, pi/4] and 3000 uniform draws, numpy seed 7.
+    rng = np.random.default_rng(7)
+    angles = [*ORACLE_CORNERS, *np.linspace(0.0, np.pi / 4, 3001).tolist(),
+              *rng.uniform(0.0, np.pi / 4, 3000).tolist()]
+    with mpmath.workdps(60):
+        for r in angles:
+            rep = spheroid_report(r)
+            x = mpmath.mpf(r)
+            assert _text_is_exact(rep.volume_fraction, mpmath.cos(x) ** 4), r
+            assert _text_is_exact(rep.eccentricity, mpmath.sin(x)), r
 
 
 def test_float_power_squares_are_python_pow():
-    # spheroid_report and shared_state square with np.float_power, which
-    # calls libm pow per value and so has the bits of Python's pow. A numpy
-    # whose float_power squares by an array loop fails here: on these 10^6
-    # values, the Simpson-node squares among them, x * x misses pow's bits.
+    # shared_state squares sin r with np.float_power, which calls libm pow
+    # per value and so has the bits of Python's pow. A numpy whose
+    # float_power squares by an array loop fails here: on these 10^6 seeded
+    # sines and scaled normals, x * x misses pow's bits.
     rng = np.random.default_rng(1981)
-    sines = geometry._simpson_nodes(20000)
-    angles = [0.0, 1e-8, 0.3, np.pi / 4, *rng.uniform(0.0, np.pi / 4, 46)]
     x = np.concatenate([
-        *(math.cos(r) * sines for r in angles),
+        np.sin(rng.uniform(0.0, np.pi, 10**6)),
         np.sin(rng.uniform(0.0, np.pi / 4, 100_000)),
         rng.normal(size=100_000) * 10.0 ** rng.integers(-150, 150, 100_000),
     ])

@@ -533,7 +533,7 @@ def _parsed(argv):
 @example(argv=["sweep", "--out", "--steps", "--steps", "3"])
 @example(argv=["channel", "--r", "-1e-3"])
 @example(argv=["geometry", "--n-theta", "3"])
-@example(argv=["geometry", "--r", "nan", "--steps", "100", "--r", "0.3"])
+@example(argv=["geometry", "--r", "nan", "--n-phi", "100", "--r", "0.3"])
 def test_table_path_equals_argparse(argv):
     # The table path reads argv as argparse does, or leaves it to argparse.
     got = _table_args(argv)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from rindler import qmat
 from rindler.channels import ChoiMatrix
 from rindler.correlations import measure_report, teleport_fidelity_mc
-from rindler.geometry import spheroid_report, surface_grid
+from rindler.geometry import surface_grid
 from rindler.qmat import (
     IDENTITY_2,
     JacobiConvergenceError,
@@ -396,8 +396,6 @@ def test_input_check_messages(call, message):
 COUNT_CALLS = [
     pytest.param(lambda n: teleport_fidelity_mc(shared_state(0.3), n), "samples", 1,
                  id="teleport_fidelity_mc"),
-    pytest.param(lambda n: spheroid_report(0.3, n), "integration_steps", 100,
-                 id="spheroid_report"),
     pytest.param(lambda n: surface_grid(0.3, n, 2), "n_theta", 2, id="n_theta"),
     pytest.param(lambda n: surface_grid(0.3, 2, n), "n_phi", 2, id="n_phi"),
     pytest.param(lambda n: partial_trace(np.eye(2), [n, 2], 0), "subsystem dimension", 1,

@@ -19,9 +19,8 @@ sign, operator), and `image_of_pure(theta_i, phi_i, r_i)` at a point of the
 sphere per state (`SPHERE_ANGLES`: both poles, theta = pi + 1e-12 and the
 equator, each at phi = 0 and just below 2 pi, on the eight states nearest
 r = 0 and the eight nearest pi/4; seeded points between). After all of
-those, so that every earlier record keeps its place, `spheroid_report(r_i,
-steps)` of each of the 300 angles at 100, 10000 and 20000 Simpson steps
-(`SIMPSON_STEPS`), listed as `lib spheroid_report #17 steps 100`: every field,
+those, so that every earlier record keeps its place, `spheroid_report(r_i)`
+of each of the 300 angles, listed as `lib spheroid_report #17`: every field,
 the center's three coordinates first. Dump the corpus on two source trees and
 compare:
 
@@ -42,8 +41,8 @@ subnormal), a sweep at subnormal accelerations, geometry grids from 2x2 to
 200x200 (199x200 at r = 0 and pi/4; 2x200, 200x2 and 199x197 at r = 0, 0.3
 and pi/4; 31x29 at r = 5e-324 and 1.9e-162), usage and I/O errors, forms at
 the edge of the parser's table path (`TABLE_EDGES`), and an overflowing log
-grid and counts numpy cannot size (`LARGE_VALUES`): 1263 argv in 2475 runs,
-and 3900 library records.
+grid and counts numpy cannot size (`LARGE_VALUES`): 1262 argv in 2474 runs,
+and 3300 library records.
 """
 
 from __future__ import annotations
@@ -143,8 +142,7 @@ TABLE_EDGES = [
 # size (2^64, and 2^63 - 1 sweep rows); none is ever allocated.
 LARGE_VALUES = [
     ["sweep", "--a-min", "1", "--a-max", "1.7976931348623157e308", "--steps", "4"],
-    *(["geometry", "--r", "0.3", flag, str(2**64)]
-      for flag in ("--n-theta", "--n-phi", "--steps")),
+    *(["geometry", "--r", "0.3", flag, str(2**64)] for flag in ("--n-theta", "--n-phi")),
     ["sweep", "--steps", str(2**64)],
     ["sweep", "--steps", str(2**63 - 1)],
 ]
@@ -210,12 +208,14 @@ def corpus() -> list[list[str]]:
     cases.append(["channel", "--a", "4.6", "--omega", "0.1"])
     for r in corners:
         cases.append(["geometry", "--r", r, "--n-theta", "5", "--n-phi", "4"])
+    # Each grid also draws the step count of a quadrature since removed, so that
+    # every later argv keeps the values it has always had.
     for _ in range(80):
         cases.append([
             "geometry", "--r", repr(rng.uniform(0.0, math.pi / 4)),
             "--n-theta", str(rng.randint(2, 12)), "--n-phi", str(rng.randint(2, 12)),
-            "--steps", str(rng.choice([100, 101, 1000, 10000])),
         ])
+        rng.choice([100, 101, 1000, 10000])
     # Large grids, up to 200x200, with their own generator as above: the
     # geometry points are formatted from arrays, so size needs cases too.
     grid_rng = random.Random(SEED + 2)
@@ -225,8 +225,8 @@ def corpus() -> list[list[str]]:
         cases.append([
             "geometry", "--r", repr(grid_rng.uniform(0.0, math.pi / 4)),
             "--n-theta", str(n_theta), "--n-phi", str(n_phi),
-            "--steps", str(grid_rng.randint(100, 20000)),
         ])
+        grid_rng.randint(100, 20000)  # the removed step count, as above
     # Large grids at the two end angles, where x and y take every form of
     # '%.12g' text: 0 and -0, 1 and -1, exponents, and 12-digit values.
     cases += [["geometry", "--r", r, "--n-theta", "199", "--n-phi", "200"]
@@ -250,9 +250,6 @@ LIB_STATES = 300
 # kernel's block of 8192 samples, and 10^5 samples (13 blocks, the last
 # partial), so that dumps of old and new trees compare record for record.
 MC_SAMPLES = (1, 2, 3, 2047, 2048, 2049, 6161, 8191, 8192, 8193, 100000)
-# Simpson step counts of the spheroid records: the least allowed, the default
-# and twice the default.
-SIMPSON_STEPS = (100, 10000, 20000)
 
 
 def _angle(i: int) -> float:
@@ -334,9 +331,8 @@ def _lib_records(rindler):
         for name, func in LIB_FUNCTIONS.items():
             yield _record(f"{name} #{i}", lambda: func(rindler, rho, i))
     for i in range(LIB_STATES):
-        for steps in SIMPSON_STEPS:
-            yield _record(f"spheroid_report #{i} steps {steps}",
-                          lambda: rindler.spheroid_report(_angle(i), steps))
+        yield _record(f"spheroid_report #{i}",
+                      lambda: rindler.spheroid_report(_angle(i)))
 
 
 def _run(main, argv: list[str], out_path: Path | None) -> dict:
