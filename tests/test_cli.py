@@ -351,17 +351,59 @@ class TestGeometry:
         assert len(capsys.readouterr().out.splitlines()) == 1 + 12 + 1
 
     # The summary's closed forms print the exact value's text at r = 0, where the
-    # fraction is 1, and at r = 1e-6, where the eccentricity sin r is 1e-06.
-    @pytest.mark.parametrize("r, summary", [
+    # fraction is 1, and at r = 1e-6, where the eccentricity sin r is 1e-06. At
+    # 1e-3 and below it the eccentricity no longer cancels: down to a subnormal r
+    # it prints sin r, where 1 - (polar / equatorial)^2 printed 0.
+    SMALL_ANGLE_SUMMARIES = [
         ("0", "# center=(0,0,-0) semi_axis_equatorial=1 semi_axis_polar=1"
               " eccentricity=0 volume_fraction=1"),
         ("1e-6", "# center=(0,0,-1e-12) semi_axis_equatorial=0.999999999999"
                  " semi_axis_polar=0.999999999999 eccentricity=1e-06"
                  " volume_fraction=0.999999999998"),
-    ], ids=["0", "1e-6"])
+        ("1e-3", "# center=(0,0,-9.99999666667e-07) semi_axis_equatorial=0.9999995"
+                 " semi_axis_polar=0.999999 eccentricity=0.000999999833333"
+                 " volume_fraction=0.999998000002"),
+        ("1.922034831393248e-162",
+         "# center=(0,0,-4.94065645841e-324) semi_axis_equatorial=1"
+         " semi_axis_polar=1 eccentricity=1.92203483139e-162 volume_fraction=1"),
+        ("5e-324", "# center=(0,0,-0) semi_axis_equatorial=1 semi_axis_polar=1"
+                   " eccentricity=4.94065645841e-324 volume_fraction=1"),
+    ]
+    SMALL_ANGLES = [r for r, _ in SMALL_ANGLE_SUMMARIES]
+
+    @pytest.mark.parametrize("r, summary", SMALL_ANGLE_SUMMARIES, ids=SMALL_ANGLES)
     def test_small_angle_summary(self, r, summary, capsys):
         assert main(["geometry", "--r", r, "--n-theta", "2", "--n-phi", "2"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == summary
+
+    @pytest.mark.parametrize("r, summary", SMALL_ANGLE_SUMMARIES, ids=SMALL_ANGLES)
+    def test_small_angle_summary_with_out(self, r, summary, tmp_path, capsys):
+        # With --out the points go to the file and the summary alone to stdout.
+        out = tmp_path / "points.csv"
+        argv = ["geometry", "--r", r, "--n-theta", "2", "--n-phi", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == summary + "\n"
+        assert out.read_text().count("\n") == 1 + 2 * 2
+
+    # geometry --steps is gone with the quadrature it sized: any argv that
+    # passes it, with a count once accepted (100, 101, the default 10^4), one
+    # once refused (99, 2^64) or none, is a usage error before any output.
+    @pytest.mark.parametrize("argv", [
+        ["geometry", "--r", "0.3", "--steps", "100"],
+        ["geometry", "--r", "0.3", "--steps", "99"],
+        ["geometry", "--r", "0.3", "--steps", "10000"],
+        ["geometry", "--r", "0.3", "--steps=101"],
+        ["geometry", "--r", "0.3", "--steps", str(2**64)],
+        ["geometry", "--r", "0.3", "--steps"],
+        ["geometry", "--steps", "100", "--r", "0.3"],
+    ], ids=" ".join)
+    def test_steps_is_an_unrecognized_argument(self, argv, tmp_path, capsys):
+        out = tmp_path / "points.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert "error: unrecognized arguments: --steps" in stderr
+        assert not out.exists()
 
     def test_determinism(self, tmp_path):
         a = tmp_path / "a.csv"

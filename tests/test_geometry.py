@@ -142,6 +142,22 @@ class TestSpheroidReport:
             )
             assert rep.eccentricity == pytest.approx(want, abs=1e-12)
 
+    def test_takes_the_angle_alone(self):
+        # The step count of the removed quadrature is no argument any more.
+        with pytest.raises(TypeError):
+            spheroid_report(0.3, 100)
+        with pytest.raises(TypeError):
+            spheroid_report(0.3, integration_steps=100)
+
+    # Below about 1e-8, sin r and cos r round to r and 1: the report is the unit
+    # sphere with eccentricity r, where sqrt(1 - (polar / equatorial)^2) gave 0.
+    @pytest.mark.parametrize("r", [5e-324, 1.922034831393248e-162, 1e-10, 1e-9])
+    def test_tiny_angles_keep_eccentricity_r(self, r):
+        rep = spheroid_report(r)
+        assert rep.eccentricity == r
+        assert rep.semi_axis_equatorial == rep.semi_axis_polar == 1.0
+        assert rep.volume_fraction == 1.0
+
     def test_golden_reports(self):
         # repr of every field for 30 angles (0, 1e-8, 0.3, pi/4 and seeded
         # random ones), recorded from the closed forms.

@@ -155,6 +155,11 @@ def test_a_ragged_list_is_shown_as_given():
         (radius_from_center, ("1",), "polar angle 1 outside"),
         (image_of_pure, ("1", 0.1, 0.3), "polar angle 1 outside"),
         (image_of_pure, (0.1, None, 0.3), "azimuthal angle None outside"),
+        (spheroid_report, ("3",), "mixing angle 3 outside"),
+        (spheroid_report, ("200",), "mixing angle 200 outside"),
+        (spheroid_report, (3 + 0j,), "mixing angle (3+0j) outside"),
+        (spheroid_report, (200j,), "mixing angle 200j outside"),
+        (spheroid_report, (2**64,), "mixing angle 18446744073709551616 outside"),
     ],
 )
 def test_angle_checks_reject_what_is_no_real_number(func, args, message):
