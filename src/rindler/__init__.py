@@ -56,7 +56,7 @@ from .qmat import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from .unruh import UnruhParams, cos_r, shared_state, three_mode_state, unruh_temperature
+from .unruh import cos_r, mixing_angle, shared_state, three_mode_state, unruh_temperature
 
 __version__ = "0.1.0"
 

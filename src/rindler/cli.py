@@ -22,7 +22,7 @@ from .channels import choi_matrix, inverse_unruh, is_cp, kraus_from_choi, unruh_
 from .correlations import measure_report
 from .geometry import spheroid_report, surface_grid
 from .qmat import JacobiConvergenceError
-from .unruh import R_MAX, UnruhParams, cos_r, shared_state
+from .unruh import R_MAX, mixing_angle, shared_state
 
 SWEEP_HEADER = "a,r,bell_half,concurrence,f_max,qmid"
 # One sweep row as a %-template: CSV, and JSON in the layout of json.dumps(indent=2).
@@ -128,7 +128,7 @@ def _resolve_angle(args) -> float:
         return float(args.r)
     if args.a is None:
         raise ValueError("provide --r, or --a together with --omega")
-    return UnruhParams(args.a, args.omega).r
+    return mixing_angle(args.a, args.omega)
 
 
 def cmd_sweep(args) -> int:
@@ -148,7 +148,7 @@ def cmd_sweep(args) -> int:
             args.a_min, args.a_max, args.steps)
 
     # r, the states and the measures each come in one pass over all rows.
-    r = np.arccos(cos_r(grid, args.omega))
+    r = mixing_angle(grid, args.omega)
     rep = measure_report(shared_state(r))
     table = np.empty((len(r), 6))
     table.T[:] = grid, r, rep.bell_B / 2.0, rep.concurrence, rep.f_max, rep.qmid
@@ -196,8 +196,10 @@ def cmd_channel(args) -> int:
 
 
 def cmd_geometry(args) -> int:
-    if not 0.0 <= args.r <= R_MAX + 1e-12:
-        return _usage(f"--r is required and must lie in [0, pi/4], got {args.r}")
+    try:
+        r = _resolve_angle(args)
+    except ValueError as exc:
+        return _usage(str(exc))
     if args.n_theta < 2 or args.n_phi < 2:
         return _usage(
             f"--n-theta and --n-phi must be >= 2, got {args.n_theta}, {args.n_phi}"
@@ -208,7 +210,7 @@ def cmd_geometry(args) -> int:
 
     # One NUL-padded row a point after the header, x and y apart (half the temporaries);
     # translate drops the NULs, in about 0.6 the time of flat[flat != 0].
-    theta, phi, x, y, z = surface_grid(args.r, args.n_theta, args.n_phi)
+    theta, phi, x, y, z = surface_grid(r, args.n_theta, args.n_phi)
     cells = [_text_cells("%.12g", theta)[:, None], _text_cells(",%.12g", phi)[None],
              *(_cells_12g(c.ravel()).reshape(*c.shape, 20) for c in (x, y)),
              _text_cells(",%.12g\n", z)[:, None]]
@@ -220,7 +222,7 @@ def cmd_geometry(args) -> int:
     _emit(text.translate(None, b"\0"), args.out)
 
     # The summary keys are the SpheroidReport field names.
-    rep = spheroid_report(args.r)
+    rep = spheroid_report(r)
     fields = " ".join(f"{k}={_fmt(v)}" for k, v in zip(rep._fields[1:], rep[1:]))
     print(f"# center=({','.join(map(_fmt, rep.center))}) {fields}")
     return 0
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, options) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(func=func, parser=cmd)
         for flag, kind, default in options:
             kwargs = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             cmd.add_argument(flag, default=None if default is ... else default,
@@ -284,8 +286,10 @@ def _table_args(argv):
 
 def main(argv=None) -> int:
     args = _table_args(sys.argv[1:] if argv is None else argv)
-    try:
-        args = args or build_parser().parse_args(argv)
+    try:  # leftover arguments are reported with the usage of their subcommand
+        args, extra = (args, []) if args else build_parser().parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

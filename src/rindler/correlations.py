@@ -145,7 +145,9 @@ def f_max(rho: np.ndarray) -> float:
     """Best average teleportation fidelity using rho as the resource.
 
     Evaluates (1/2)(1 + Tr sqrt(gamma^T gamma) / 3); the classical
-    threshold is 2/3.
+    threshold is 2/3. The standard protocol with local unitaries reaches it
+    only when det gamma <= 0; elsewhere it is an upper bound on that best.
+    The shared state has det gamma = -cos^4 r < 0.
     """
     return float(_f_max(_gamma_spectrum(_two_qubit(rho, vectors=False)[0])))
 

@@ -100,13 +100,14 @@ def partial_trace(rho: np.ndarray, dims: list[int], traced: int) -> np.ndarray:
 
 
 def _unconverged(a: np.ndarray, live):
-    # The matrices of a[live] whose off-diagonal Frobenius norm exceeds 1e-13 (above
-    # a rotation's ~n eps roundoff on unit-scale input): live itself while that is
-    # all of them, None once it is none.
+    # The matrices of a[live] whose off-diagonal Frobenius norm exceeds 1e-13 of their
+    # whole one (above a rotation's ~n eps roundoff; the rotations keep the whole norm,
+    # so it is the input's): live itself while that is all of them, None once it is none.
     n = a.shape[-1]
     sq = np.abs(a[live]).reshape(-1, n * n) ** 2
+    tol = 1e-13 * np.sqrt(np.add.reduce(sq, 1))
     sq[:, :: n + 1] = 0.0
-    keep = ~(np.sqrt(np.add.reduce(sq, 1)) <= 1e-13)
+    keep = ~(np.sqrt(np.add.reduce(sq, 1)) <= tol)
     kept = np.count_nonzero(keep)  # an empty stack keeps none: it ends the solve
     if kept == len(keep) > 0:
         return live
@@ -143,10 +144,11 @@ def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
 
     Cyclic Jacobi rotations, deterministic by construction: fixed sweep
     order over the upper triangle, convergence of each matrix when its
-    off-diagonal Frobenius norm drops to 1e-13, eigenvalues sorted
-    descending with exact ties broken by lexicographic comparison of the
-    (phase-fixed) eigenvector entries. A stack (..., n, n) is solved in
-    one pass, each matrix to the same bits as when solved alone.
+    off-diagonal Frobenius norm drops to 1e-13 of its whole one (for entries
+    of about 1e-154 to 1e150: outside, their squares underflow or overflow),
+    eigenvalues sorted descending with exact ties broken by lexicographic
+    comparison of the (phase-fixed) eigenvector entries. A stack (..., n, n)
+    is solved in one pass, each matrix to the same bits as when solved alone.
 
     Raises
     ------
@@ -247,7 +249,7 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-1e-8, 0) are treated as roundoff and clamped to zero;
     anything below is rejected. m need not be a state, so not PSD_TOL: the
-    roundoff n eps ||m|| stays under 1e-8 up to ||m|| ~ 1e7.
+    roundoff n eps ||m|| stays under 1e-8 for ||m|| from ~1e-154 to ~1e7.
     """
     return _psd_root(_floored(eig_hermitian(m), -1e-8, "matrix is not PSD, eigenvalue"))
 

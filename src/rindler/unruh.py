@@ -9,7 +9,6 @@ cos^2 r = 1/2.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,21 +53,20 @@ def cos_r(a: float, omega: float) -> float:
     return c if np.ndim(c) else float(c)
 
 
+def mixing_angle(a: float, omega: float) -> float:
+    """Mixing angle r, tan r = exp(-pi omega / a), for acceleration a and frequency omega.
+
+    arccos(cos_r(a, omega)) without its cancellation as r -> 0; takes arrays as cos_r.
+    """
+    a, omega = _positive(a, "acceleration", arrays=True), _positive(omega, "mode frequency")
+    with np.errstate(over="ignore"):  # omega / a = inf for a tiny a: r = 0, its limit
+        r = np.arctan(np.exp(-np.pi * omega / a))
+    return r if np.ndim(r) else float(r)
+
+
 def unruh_temperature(a: float) -> float:
     """Thermal temperature a / (2 pi) perceived at proper acceleration a."""
     return float(_positive(a, "acceleration") / (2.0 * np.pi))
-
-
-@dataclass(frozen=True)
-class UnruhParams:
-    """Acceleration a, mode frequency omega, and the derived angle r."""
-
-    a: float
-    omega: float
-    r: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", float(np.arccos(cos_r(self.a, self.omega))))
 
 
 def _check_angle(r: float, arrays: bool = False) -> float:

@@ -23,7 +23,7 @@ from rindler.cli import main
 from rindler.correlations import bell_B, concurrence, f_max, teleport_fidelity_mc
 from rindler.geometry import image_of_pure, spheroid_report
 from rindler.qmat import eig_hermitian
-from rindler.unruh import UnruhParams, shared_state
+from rindler.unruh import mixing_angle, shared_state
 
 R_GRID = np.linspace(0.0, np.pi / 4, 100)
 
@@ -175,7 +175,7 @@ def test_criterion_8_sweep_reproduction(tmp_path):
         assert bell_half[-1] < 0.51
         # the nonlocality curve does not actually cross 1/2 at a = 4.6;
         # its value there is pinned instead (recorded open question)
-        at_crossing = bell_B(shared_state(UnruhParams(4.6, 0.1).r)) / 2
+        at_crossing = bell_B(shared_state(mixing_angle(4.6, 0.1))) / 2
         assert abs(at_crossing - 0.5340947536163592) < 1e-10
 
 

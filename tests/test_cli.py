@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,7 +9,8 @@ from rindler import channels, cli, correlations, qmat
 from rindler.cli import main
 from rindler.geometry import surface_grid
 from rindler.qmat import JacobiConvergenceError
-from rindler.unruh import UnruhParams
+from rindler.unruh import mixing_angle
+from test_geometry import _text_is_exact
 
 SWEEP_HEADER = "a,r,bell_half,concurrence,f_max,qmid"
 GOLDEN = Path(__file__).parent / "golden"
@@ -23,6 +25,50 @@ def parse_sweep(path):
     assert lines[0].startswith("#")
     assert lines[1] == SWEEP_HEADER
     return np.array([[float(x) for x in ln.split(",")] for ln in lines[2:]])
+
+
+# The sweep's digit contract: each printed r, bell_half, concurrence, f_max and
+# qmid is the correctly rounded 12-digit text of its exact value, evaluated to 60
+# digits from the same double a and omega, or that value lies within the
+# double's error bound of a 12-digit rounding tie. For r = atan(exp(-x)),
+# x = pi omega / a, exp turns the rounding of x into a relative error of about
+# x eps: the bound is 2 (x + 1) eps, and 4000 seeded draws reached 0.95 (x + 1)
+# eps. The other columns come through the solver: 32 eps, where the same draws
+# reached 1.6 (bell_half), 5.7 (concurrence), 0.8 (f_max) and 16.9 (qmid).
+SWEEP_FIELD_TIE_EPS = 32
+
+
+def _exact_sweep_row(a: float, omega: float) -> list:
+    # r, bell_half = cos^2 r, concurrence = cos r, f_max = (1 + (2c + c^2) / 3) / 2
+    # and qmid = H(c^2/2, s^2/2, 1/2) - H((1 + c^2)/2, s^2/2), to 60 digits.
+    def entropy(*p):
+        return -sum(q * mpmath.log(q, 2) for q in p if q > 0)
+
+    with mpmath.workdps(60):
+        x = mpmath.pi * mpmath.mpf(omega) / mpmath.mpf(a)
+        r = mpmath.atan(mpmath.exp(-x))
+        c2, s2 = mpmath.cos(r) ** 2, mpmath.sin(r) ** 2
+        qmid = entropy(c2 / 2, s2 / 2, mpmath.mpf(1) / 2) - entropy((1 + c2) / 2, s2 / 2)
+        return [x, r, c2, mpmath.cos(r), (1 + (2 * mpmath.cos(r) + c2) / 3) / 2, qmid]
+
+
+def test_sweep_prints_the_exact_digits(capsys):
+    # 150 two-row sweeps, whose rows are exactly --a-min and --a-max, with omega
+    # in [0.005, 20] and a / omega in [0.005, 1e4], log-uniform, numpy seed 11:
+    # x up to 628, past a = 0.18 omega, where arccos(cos_r) printed r = 0.
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        omega = float(np.exp(rng.uniform(np.log(5e-3), np.log(20.0))))
+        a_min, a_max = np.sort(omega * np.exp(rng.uniform(np.log(5e-3), np.log(1e4), 2)))
+        argv = ["sweep", "--omega", repr(omega), "--a-min", repr(float(a_min)),
+                "--a-max", repr(float(a_max)), "--steps", "2"]
+        assert main(argv) == 0
+        for line, a in zip(capsys.readouterr().out.splitlines()[2:], (a_min, a_max)):
+            x, *exact = _exact_sweep_row(a, omega)
+            got = [float(v) for v in line.split(",")[1:]]
+            assert _text_is_exact(got[0], exact[0], 2 * (float(x) + 1)), argv
+            for field, value in zip(got[1:], exact[1:]):
+                assert _text_is_exact(field, value, SWEEP_FIELD_TIE_EPS), argv
 
 
 class TestSweep:
@@ -274,7 +320,7 @@ class TestChannel:
     def test_acceleration_input_matches_angle_input(self, capsys):
         assert main(["channel", "--a", "4.6", "--omega", "0.1"]) == 0
         from_accel = capsys.readouterr().out
-        r = UnruhParams(4.6, 0.1).r
+        r = mixing_angle(4.6, 0.1)
         assert main(["channel", "--r", str(r)]) == 0
         from_angle = capsys.readouterr().out
         assert from_accel == from_angle
@@ -306,6 +352,14 @@ class TestChannel:
     def test_usage_errors(self, argv, capsys):
         assert main(argv) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unknown_flag_shows_the_channel_usage(self, capsys):
+        assert main(["channel", "--r", "0.1", "--bogus", "1"]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("usage: rindler channel [-h] [--r R]")
+        assert stderr.endswith(
+            "\nrindler channel: error: unrecognized arguments: --bogus 1\n")
 
     def test_unwritable_path_is_io_error(self, capsys):
         assert main(["channel", "--r", "0.3", "--out", "/no/such/dir/x.txt"]) == 3
@@ -404,6 +458,8 @@ class TestGeometry:
         assert stdout == ""
         assert "error: unrecognized arguments: --steps" in stderr
         assert not out.exists()
+        # The usage shown is the subcommand's, as for any other usage error.
+        assert stderr.startswith("usage: rindler geometry [-h] --r R")
 
     def test_determinism(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -673,7 +729,9 @@ BENCH_ARGV = [
 def test_well_formed_argv_take_the_table_path(argv):
     args = cli._table_args(argv)
     assert args is not None
-    assert vars(args) == vars(cli.build_parser().parse_args(argv))
+    # argparse also leaves the subcommand's parser, for main to report leftovers with.
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert vars(args) == {k: v for k, v in parsed.items() if k != "parser"}
 
 
 def test_a_well_formed_call_builds_no_parser(capsys):

@@ -182,9 +182,9 @@ ORACLE_CORNERS = [0.0, 5e-324, 1.922034831393248e-162, 1e-8, 1e-6, 1e-3, 0.3,
                   0.5767440513215262, np.pi / 4]
 
 
-def _text_is_exact(got: float, exact) -> bool:
+def _text_is_exact(got: float, exact, tie_eps=TIE_EPS) -> bool:
     """'%.12g' % got is exact's correctly rounded 12-digit value, or exact lies
-    within TIE_EPS eps of a tie between two 12-digit values."""
+    within tie_eps eps of a tie between two 12-digit values."""
     if exact == 0:
         return got == 0.0
     e = int(mpmath.floor(mpmath.log10(exact)))
@@ -192,7 +192,7 @@ def _text_is_exact(got: float, exact) -> bool:
     if Decimal(format(got, ".12g")) == Decimal(int(mpmath.nint(scaled))).scaleb(e - 11):
         return True
     tie = abs(scaled - mpmath.floor(scaled) - 0.5) / scaled
-    return tie <= TIE_EPS * np.finfo(float).eps
+    return tie <= tie_eps * np.finfo(float).eps
 
 
 def test_printed_digits_match_the_exact_values():

@@ -14,7 +14,7 @@ PUBLIC = {
     "EigenDecomposition", "JacobiConvergenceError", "eig_hermitian",
     "partial_trace", "pure_qubit", "sqrt_psd",
     "validate_density_matrix", "von_neumann_entropy",
-    "UnruhParams", "cos_r", "shared_state", "three_mode_state", "unruh_temperature",
+    "cos_r", "mixing_angle", "shared_state", "three_mode_state", "unruh_temperature",
 }
 
 

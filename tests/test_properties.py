@@ -181,6 +181,25 @@ def hermitian_stacks(draw):
 
 
 @PROPERTY
+@given(m=hermitian_stacks(), k=st.floats(-15.0, 7.0))
+@example(m=np.array([[[0, 1], [1, 0]]], dtype=complex), k=-14.0)
+@example(m=np.array([[[0, 1], [1, 0]]], dtype=complex), k=3.0)
+def test_spectra_scale_with_the_matrix(m, k):
+    # The solver stops at 1e-13 of each matrix's norm, so s m has s times m's
+    # spectrum within roundoff for every scale s from 1e-15 to 1e7. Under an
+    # absolute 1e-13 the first example was taken as diagonal and the second
+    # did not converge.
+    # Free-float draws may make every entry tiny: the rule holds above ~1e-154.
+    big = np.abs(m).max(axis=(-2, -1))[..., None]
+    assume(np.all((big == 0.0) | (big > 1e-130)))
+    s = 10.0 ** k
+    lam = eig_hermitian(m).eigenvalues
+    # Roundoff bound 32 n eps max|m_ij|: 3000 random draws reached 8.4 n eps.
+    tol = 32 * m.shape[-1] * np.finfo(float).eps * big
+    assert np.all(np.abs(eig_hermitian(s * m).eigenvalues / s - lam) <= tol)
+
+
+@PROPERTY
 @given(m=hermitian_stacks())
 def test_spectra_only_solve_equals_the_full_solve(m):
     # The same values under ==, and the same multiset of bits per matrix:
@@ -280,8 +299,8 @@ def bell_mixtures(draw):
 
 
 # Marginals I/2 + 1e-10 sigma/2: degenerate within DEGENERACY_GAP, yet off
-# the diagonal by more than the solver's 1e-13, so a solved basis would
-# differ from the fallback one.
+# the diagonal by more than the solver's 1e-13 of the norm, so a solved basis
+# would differ from the fallback one.
 _I2 = np.eye(2, dtype=complex)
 NEAR_FLAT = (np.eye(4) + 1e-10 * (np.kron(PAULIS[0], _I2) + np.kron(_I2, PAULIS[1]))) / 4
 
@@ -518,13 +537,14 @@ def cli_argv(draw):
 
 def _parsed(argv):
     # build_parser().parse_args(argv) as the repr of each attribute (NaN equals
-    # NaN, -0.0 differs from 0.0), or None where argparse exits.
+    # NaN, -0.0 differs from 0.0), or None where argparse exits. The subcommand's
+    # parser, which main keeps only to report leftovers with, is no parsed value.
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             args = build_parser().parse_args(argv)
     except SystemExit:
         return None
-    return {k: repr(v) for k, v in vars(args).items()}
+    return {k: repr(v) for k, v in vars(args).items() if k != "parser"}
 
 
 @settings(PROPERTY, max_examples=600)
@@ -584,8 +604,9 @@ def information_reference(rho, dec):
 def unconverged_reference(a, live):
     n = a.shape[-1]
     sq = np.abs(a[live]).reshape(-1, n * n) ** 2
+    tol = 1e-13 * np.sqrt(sq.sum(axis=-1))
     sq[:, :: n + 1] = 0.0
-    keep = ~(np.sqrt(sq.sum(axis=-1)) <= 1e-13)
+    keep = ~(np.sqrt(sq.sum(axis=-1)) <= tol)
     if keep.all():
         return live
     return np.arange(len(a))[live][keep] if keep.any() else None

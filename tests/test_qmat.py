@@ -231,6 +231,22 @@ class TestEigHermitian:
         with pytest.raises(JacobiConvergenceError, match="after 1 sweeps"):
             eig_hermitian(stack)
 
+    # The stopping rule is relative to each matrix's norm. Under the absolute 1e-13
+    # it had before, no rotation reached it on entries of about 100 and more:
+    # these seeded matrices raised JacobiConvergenceError after 100 sweeps.
+    @pytest.mark.parametrize("scale, n", [(100.0, 8), (300.0, 4), (1e3, 2), (1e7, 8)])
+    def test_large_entries_converge(self, scale, n):
+        rng = np.random.default_rng(500 + n)
+        stack = np.array([random_hermitian(rng, n) for _ in range(20)])
+        lam = eig_hermitian(scale * stack).eigenvalues
+        ref = np.linalg.eigvalsh(stack)[..., ::-1]
+        assert_allclose(lam / scale, ref, rtol=0, atol=1e-13)
+
+    def test_tiny_off_diagonal_entries_rotate(self):
+        # Under the absolute 1e-13 this matrix was taken as diagonal: [0, 0].
+        lam = eig_hermitian(np.array([[0, 1e-14], [1e-14, 0]])).eigenvalues
+        assert_allclose(lam, [1e-14, -1e-14], rtol=1e-15, atol=0)
+
     def test_subnormal_off_diagonal_entries(self):
         # g / |g| overflows for a subnormal g; such entries count as zero.
         rho = np.zeros((4, 4), dtype=complex)
@@ -248,6 +264,13 @@ class TestSqrtPsd:
     def test_diagonal(self):
         assert_allclose(sqrt_psd(np.diag([4.0, 1.0, 0.0, 0.0])),
                         np.diag([2.0, 1.0, 0.0, 0.0]), atol=1e-13)
+
+    def test_entries_near_100(self):
+        # ||m|| ~ 1e3, inside the docstring's 1e7; it raised JacobiConvergenceError
+        # while the solver's stopping rule was an absolute 1e-13.
+        m = 100.0 * random_psd(np.random.default_rng(2), 4)
+        root = sqrt_psd(m)
+        assert_allclose(root @ root, m, rtol=0, atol=1e-11)
 
     def test_random_roundtrip(self):
         rng = np.random.default_rng(7)

@@ -31,6 +31,14 @@ def test_library_records_of_the_first_states_hold_no_error():
     assert [rec for rec in records if "error" in rec] == []
 
 
+def test_solver_records_at_every_scale_hold_no_error():
+    # 1e3 and 1e7 raised JacobiConvergenceError while the solver's stopping
+    # rule was an absolute 1e-13.
+    records = list(cli_corpus._solver_records(rindler))
+    assert len(records) == 2 * cli_corpus.SOLVER_MATRICES * len(cli_corpus.SOLVER_SCALES)
+    assert [rec for rec in records if "error" in rec] == []
+
+
 def test_out_file_keeps_its_line_ends(tmp_path):
     def main(argv):
         Path(argv[-1]).write_bytes(b"a\r\nb\rc\n")

@@ -8,8 +8,8 @@ from rindler.channels import amplitude_damping, inverse_unruh, unruh_kraus
 from rindler.geometry import image_of_pure, radius_from_center, spheroid_report, surface_grid
 from rindler.qmat import partial_trace, sqrt_psd, validate_density_matrix
 from rindler.unruh import (
-    UnruhParams,
     cos_r,
+    mixing_angle,
     shared_state,
     three_mode_state,
     unruh_temperature,
@@ -57,10 +57,11 @@ class TestCosR:
         ],
     )
     def test_domain_errors(self, a, omega):
-        with pytest.raises(ValueError):
-            cos_r(a, omega)
-        with pytest.raises(ValueError):
-            cos_r(np.array([1.0, a, 2.0]), omega)
+        for func in (cos_r, mixing_angle):
+            with pytest.raises(ValueError):
+                func(a, omega)
+            with pytest.raises(ValueError):
+                func(np.array([1.0, a, 2.0]), omega)
 
     # A list or tuple of accelerations is an array too; omega / a overflows at 1e-320.
     @pytest.mark.parametrize("form", [np.array, list, tuple])
@@ -123,8 +124,10 @@ RAGGED = [[0.1], [0.1, 0.2]]
     ],
 )
 def test_rejects_what_is_no_finite_positive_real(func, args, what):
-    with pytest.raises(ValueError, match=f"^{what} must be positive and finite, got "):
-        func(*args)
+    # mixing_angle takes what cos_r takes, with the same messages.
+    for f in [func, mixing_angle] if func is cos_r else [func]:
+        with pytest.raises(ValueError, match=f"^{what} must be positive and finite, got "):
+            f(*args)
 
 
 def test_a_ragged_list_is_shown_as_given():
@@ -174,15 +177,31 @@ def test_whole_numbers_past_int64_are_read_as_floats():
     assert got.tobytes() == want.tobytes()
 
 
-class TestUnruhParams:
-    def test_angle_derivation(self):
-        p = UnruhParams(4.6, 0.1)
-        assert np.cos(p.r) == pytest.approx(cos_r(4.6, 0.1), abs=1e-15)
-        assert 0 <= p.r < np.pi / 4
+class TestMixingAngle:
+    def test_cosine_is_cos_r(self):
+        a = np.sort(np.r_[np.geomspace(1e-3, 1e6, 400), 4.6])
+        r = mixing_angle(a, 0.1)
+        assert_allclose(np.cos(r), cos_r(a, 0.1), rtol=0, atol=3e-16)
+        assert np.all((0 <= r) & (r <= np.pi / 4)) and np.all(np.diff(r) >= 0)
 
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            UnruhParams(-1.0, 0.1)
+    def test_small_angles_keep_their_digits(self):
+        # arccos(cos_r) gave 1.50494351065e-07 here and 0 for a below ~0.18 omega.
+        assert mixing_angle(0.02, 0.1) == pytest.approx(1.5070172753900e-07, rel=1e-12)
+        assert mixing_angle(0.01, 0.1) == pytest.approx(2.2711010683241e-14, rel=1e-12)
+
+    @pytest.mark.parametrize("form", [np.array, list, tuple])
+    def test_array_entries_equal_scalar_calls(self, form):
+        grid = np.r_[np.geomspace(1e-7, 1e7, 2001), 1e-320]
+        got = mixing_angle(form(grid.tolist()), 0.37)
+        want = np.array([mixing_angle(float(a), 0.37) for a in grid])
+        assert got.shape == grid.shape and got.tobytes() == want.tobytes()
+        assert isinstance(mixing_angle(4.6, 0.1), float)
+
+    def test_tiny_accelerations_reach_the_rest_limit(self):
+        # omega / a overflows for these a; the warning is an error here.
+        got = mixing_angle(np.array([5e-324, 1e-310, 1.0]), 0.1)
+        assert got.tolist() == [0.0, 0.0, mixing_angle(1.0, 0.1)]
+        assert mixing_angle(1e-320, 0.1) == 0.0
 
 
 class TestThreeModeState:

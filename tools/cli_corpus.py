@@ -21,8 +21,12 @@ equator, each at phi = 0 and just below 2 pi, on the eight states nearest
 r = 0 and the eight nearest pi/4; seeded points between). After all of
 those, so that every earlier record keeps its place, `spheroid_report(r_i)`
 of each of the 300 angles, listed as `lib spheroid_report #17`: every field,
-the center's three coordinates first. Dump the corpus on two source trees and
-compare:
+the center's three coordinates first. Last, `eig_hermitian` of s (G + G^dag)
+and `sqrt_psd` of s G G^dag for 24 seeded complex normal G of dimension 2, 4
+and 8 in turn, each at the scales s of `SOLVER_SCALES` (1e-15 to 1e7), listed
+as `lib eig_hermitian scaled #k`, `lib sqrt_psd scaled #k`: every state above
+has entries of at most 1, where the solver's stopping rule does not show its
+scale. Dump the corpus on two source trees and compare:
 
     python tools/cli_corpus.py dump before.jsonl --src /path/to/old/src
     python tools/cli_corpus.py dump after.jsonl
@@ -42,7 +46,7 @@ subnormal), a sweep at subnormal accelerations, geometry grids from 2x2 to
 and pi/4; 31x29 at r = 5e-324 and 1.9e-162), usage and I/O errors, forms at
 the edge of the parser's table path (`TABLE_EDGES`), and an overflowing log
 grid and counts numpy cannot size (`LARGE_VALUES`): 1262 argv in 2474 runs,
-and 3300 library records.
+and 3492 library records.
 """
 
 from __future__ import annotations
@@ -296,6 +300,24 @@ LIB_FUNCTIONS = {
 }
 
 
+# Scales of the solver records: far from the entries of at most 1 that every
+# state above has, so that a stopping rule tied to one scale shows in a dump.
+SOLVER_SCALES = (1e-15, 1e-8, 1e3, 1e7)
+SOLVER_MATRICES = 24
+
+
+def solver_matrices() -> list:
+    """(G + G^dag, G G^dag) of seeded complex normal G of dimension 2, 4, 8 in turn."""
+    rng = np.random.default_rng(SEED + 5)
+    pairs = []
+    for k in range(SOLVER_MATRICES):
+        n = (2, 4, 8)[k % 3]
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        # G G^dag by einsum, as A A^dag in lib_states.
+        pairs.append((g + g.conj().T, np.einsum("ij,kj->ik", g, g.conj())))
+    return pairs
+
+
 def lib_states() -> list:
     """The seeded library states; identical on every run and every tree."""
     rng = np.random.default_rng(SEED)
@@ -333,6 +355,15 @@ def _lib_records(rindler):
     for i in range(LIB_STATES):
         yield _record(f"spheroid_report #{i}",
                       lambda: rindler.spheroid_report(_angle(i)))
+    yield from _solver_records(rindler)
+
+
+def _solver_records(rindler):
+    # Matrix k at scale j is record #(4k + j) of each function.
+    scaled = [(h * s, p * s) for h, p in solver_matrices() for s in SOLVER_SCALES]
+    for i, (h, p) in enumerate(scaled):
+        yield _record(f"eig_hermitian scaled #{i}", lambda: rindler.eig_hermitian(h))
+        yield _record(f"sqrt_psd scaled #{i}", lambda: rindler.sqrt_psd(p))
 
 
 def _run(main, argv: list[str], out_path: Path | None) -> dict:
@@ -422,7 +453,8 @@ def compare(a: Path, b: Path) -> int:
     n_argv = len({argv for argv, _ in keys})
     print(f"{n_argv} argv, {len(keys)} runs, {len(runs[0])} differ, "
           f"{len(runs[1])} only in before, {len(runs[2])} only in after")
-    for func in [*LIB_FUNCTIONS, "spheroid_report"]:
+    for func in [*LIB_FUNCTIONS, "spheroid_report", "eig_hermitian scaled",
+                 "sqrt_psd scaled"]:
         total, moved, before, after = ([k for k in group if k.split(" #")[0] == func]
                                        for group in (names, *libs))
         delta = max((_largest_change(left_lib[k], right_lib[k]) for k in moved),
