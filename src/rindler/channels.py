@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import _dag, _hermitian, _jacobi
+from .qmat import _dag, _hermitian, _jacobi, _mm
 from .unruh import _check_angle, _reals
 
 
@@ -112,7 +112,7 @@ def apply(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"state shape {rho.shape} does not match map dimension {kmap.dim}"
         )
-    return (kmap.signs[:, None, None] * (kmap.ops @ rho @ _dag(kmap.ops))).sum(axis=0)
+    return (kmap.signs[:, None, None] * _mm(_mm(kmap.ops, rho), _dag(kmap.ops))).sum(0)
 
 
 def apply_to_second(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
@@ -122,7 +122,7 @@ def apply_to_second(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
 
 def completeness_defect(kmap: KrausMap) -> float:
     """Max-norm distance of sum_j sign_j K_j^dag K_j from the identity."""
-    acc = (kmap.signs[:, None, None] * (_dag(kmap.ops) @ kmap.ops)).sum(axis=0)
+    acc = (kmap.signs[:, None, None] * _mm(_dag(kmap.ops), kmap.ops)).sum(axis=0)
     return float(np.max(np.abs(acc - np.eye(kmap.dim))))
 
 
@@ -130,7 +130,7 @@ def compose(outer: KrausMap, inner: KrausMap) -> KrausMap:
     """Map applying inner first, then outer; term signs multiply, outer-major."""
     if outer.dim != inner.dim:
         raise ValueError(f"dimension mismatch {outer.dim} vs {inner.dim}")
-    ops = (outer.ops[:, None] @ inner.ops).reshape(-1, outer.dim, outer.dim)
+    ops = _mm(outer.ops[:, None], inner.ops).reshape(-1, outer.dim, outer.dim)
     return KrausMap(np.outer(outer.signs, inner.signs).ravel(), ops)
 
 
@@ -140,7 +140,7 @@ def choi_matrix(kmap: KrausMap) -> ChoiMatrix:
         raise ValueError(f"Choi construction expects a qubit map, dim {kmap.dim}")
     # sum_k sign_k vec(K_k) vec(K_k)^dag, vec column-major as in kraus_from_choi.
     v = kmap.ops.swapaxes(-1, -2).reshape(-1, 4)
-    m = (kmap.signs[:, None, None] * (v[:, :, None] * v.conj()[:, None, :])).sum(axis=0)
+    m = (kmap.signs[:, None, None] * np.einsum("ni,nj->nij", v, v.conj())).sum(axis=0)
     return ChoiMatrix(m / 2.0)
 
 

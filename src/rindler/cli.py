@@ -123,9 +123,11 @@ def _usage(message: str) -> int:
 
 def _resolve_angle(args) -> float:
     if args.r is not None:
+        if getattr(args, "a", None) is not None:  # geometry has no --a
+            raise ValueError("provide --r or --a, not both")
         if not 0.0 <= args.r <= R_MAX + 1e-12:
             raise ValueError(f"--r {args.r} outside [0, pi/4]")
-        return float(args.r)
+        return args.r + 0.0  # -0 prints as 0
     if args.a is None:
         raise ValueError("provide --r, or --a together with --omega")
     return mixing_angle(args.a, args.omega)

@@ -22,6 +22,7 @@ from .qmat import (
     _dag,
     _entropy,
     _jacobi,
+    _mm,
     _psd_root,
     _whole,
 )
@@ -96,13 +97,13 @@ def reconstruct(dec: TwoQubitDecomposition) -> np.ndarray:
     # coeff[i, j] multiplies _PAULI_BASIS[i, j]; coeff[0, 0] = 1.
     coeff = np.eye(4)
     coeff[1:, 0], coeff[0, 1:], coeff[1:, 1:] = dec
-    return np.tensordot(coeff, _PAULI_BASIS, 2) / 4.0
+    return np.einsum("ij,ijkl->kl", coeff, _PAULI_BASIS) / 4.0
 
 
 def _gamma_spectrum(rho: np.ndarray) -> np.ndarray:
     # Eigenvalues of gamma^T gamma, descending; shared by bell_B and f_max.
     gamma = _decompose(rho).gamma
-    return _jacobi(gamma.swapaxes(-1, -2) @ gamma, vectors=False).eigenvalues
+    return _jacobi(_mm(gamma.swapaxes(-1, -2), gamma), vectors=False).eigenvalues
 
 
 def bell_B(rho: np.ndarray) -> float:
@@ -117,7 +118,7 @@ def bell_B(rho: np.ndarray) -> float:
 
 def _concurrence(rho: np.ndarray, dec: EigenDecomposition) -> np.ndarray:
     root = _psd_root(dec)
-    m = (((root[..., ::-1] * _YY_SIGNS) @ rho.conj())[..., ::-1] * _YY_SIGNS) @ root
+    m = _mm(_mm(root[..., ::-1] * _YY_SIGNS, rho.conj())[..., ::-1] * _YY_SIGNS, root)
     # The floor also makes +0 of any zero whose sign the reversals changed.
     lam = _jacobi(m, vectors=False).eigenvalues
     lam = np.where(np.abs(lam) < WOOTTERS_EIG_FLOOR, 0.0, lam)
@@ -178,7 +179,7 @@ def _dephasing(rho: np.ndarray, spectra: EigenDecomposition) -> tuple:
     basis = np.where(flat, IDENTITY_2, vecs)
     a, b = basis[..., 0, :, :], basis[..., 1, :, :]
     u = (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(rho.shape)
-    return u, (_dag(u) @ rho @ u).diagonal(axis1=-2, axis2=-1).real
+    return u, np.einsum("...ij,...ji->...i", _mm(_dag(u), rho), u).real
 
 
 def dephased(rho: np.ndarray) -> np.ndarray:
@@ -192,7 +193,7 @@ def dephased(rho: np.ndarray) -> np.ndarray:
     """
     rho, dec = _two_qubit(rho, vectors=False)
     u, p = _dephasing(rho, _information(rho, dec)[2])
-    return (u * p) @ _dag(u)
+    return _mm(u * p, _dag(u))
 
 
 def _qmid(rho: np.ndarray, info, local, spectra) -> np.ndarray:

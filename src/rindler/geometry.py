@@ -37,7 +37,7 @@ def bloch_of(rho: np.ndarray) -> BlochVector:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a qubit state, got shape {rho.shape}")
-    return BlochVector(*(float(np.trace(rho @ s).real) for s in PAULIS))
+    return BlochVector(*np.einsum("ij,kji->k", rho, PAULIS).real.tolist())
 
 
 def _check_sphere_angles(theta: float, phi: float) -> tuple[float, float]:

@@ -20,7 +20,8 @@ HERMITIAN_TOL = 1e-10
 PSD_TOL = -1e-10
 _TINY = np.finfo(float).tiny
 _MAX_SWEEPS = 100
-_eye = functools.cache(lambda n: np.broadcast_to(np.eye(n, dtype=complex), (n, n)))
+# a @ b, stacked, by numpy's own loop: BLAS rounds by the kernel the CPU picks.
+_mm = functools.partial(np.einsum, "...ij,...jk->...ik")
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -100,43 +101,49 @@ def partial_trace(rho: np.ndarray, dims: list[int], traced: int) -> np.ndarray:
 
 
 def _unconverged(a: np.ndarray, live):
-    # The matrices of a[live] whose off-diagonal Frobenius norm exceeds 1e-13 of their
-    # whole one (above a rotation's ~n eps roundoff; the rotations keep the whole norm,
-    # so it is the input's): live itself while that is all of them, None once it is none.
-    n = a.shape[-1]
-    sq = np.abs(a[live]).reshape(-1, n * n) ** 2
-    tol = 1e-13 * np.sqrt(np.add.reduce(sq, 1))
+    # The matrices of a[..., live] whose off-diagonal Frobenius norm exceeds 1e-13 of
+    # their whole one (above a rotation's ~n eps roundoff; the rotations keep the whole
+    # norm, so it is the input's): live itself while that is all of them, None once it
+    # is none. Both norms are of the matrix over its largest |entry|, whose squares
+    # neither underflow nor overflow; entries below _TINY, which _rotate leaves, are 0.
+    n = a.shape[0]
+    x = np.abs(a[..., live]).reshape(n * n, -1)
+    x[x < _TINY] = 0.0
+    x /= np.maximum(np.maximum.reduce(x, 0), _TINY)
+    # One C-order row a matrix: a lone matrix's sum then adds as one of a stack's.
+    sq = np.square(x.T, order="C")
+    whole = np.add.reduce(sq, 1)
     sq[:, :: n + 1] = 0.0
-    keep = ~(np.sqrt(np.add.reduce(sq, 1)) <= tol)
+    keep = ~(np.add.reduce(sq, 1) <= 1e-26 * whole)
     kept = np.count_nonzero(keep)  # an empty stack keeps none: it ends the solve
     if kept == len(keep) > 0:
         return live
-    return np.arange(len(a))[live][keep] if kept else None
+    return np.arange(a.shape[-1])[live][keep] if kept else None
 
 
-def _rotate(a: np.ndarray, v, live, p: int, q: int, eye) -> None:
-    # One Jacobi step on entry (p, q) of every matrix in a[live] and v[live], in place.
-    # The phase of g is absorbed first, then a real rotation annihilates it.
-    # |g| below the smallest normal float counts as zero: g / |g| overflows.
-    g = a[live, p, q]
+def _rotate(av: np.ndarray, live, p: int, q: int) -> None:
+    # One Jacobi step on entry (p, q) of each matrix in av[..., live] (a's rows over v's,
+    # stacked last for einsum's loop), in place: columns p, q, then rows p, q of a turn by
+    # r, which absorbs g's phase, then annihilates g. |g| < _TINY is 0: g / |g| overflows.
+    g = av[p, q, live]
     absg = np.hypot(g.real, g.imag)
     turn = absg >= _TINY
     turned = np.count_nonzero(turn)
     if not turned:
         return
     if turned < len(turn):
-        live, g, absg = np.arange(len(a))[live][turn], g[turn], absg[turn]
+        live, g, absg = np.arange(av.shape[-1])[live][turn], g[turn], absg[turn]
     phase = (g / absg).conj()
-    tau = (a[live, q, q].real - a[live, p, p].real) / (2.0 * absg)
+    tau = (av[q, q, live].real - av[p, p, live].real) / (2.0 * absg)
     t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
     np.negative(t, out=t, where=tau < 0)
     c = 1.0 / np.sqrt(1.0 + t * t)
     s = t * c
-    j = eye[None].repeat(len(g), axis=0)
-    j[:, p, p], j[:, p, q], j[:, q, p], j[:, q, q] = c, s, -s * phase, c * phase
-    a[live] = _dag(j) @ a[live] @ j
-    if v is not None:
-        v[live] = v[live] @ j
+    r = np.array([[c, s], [-s * phase, c * phase]])
+    x, pq = av[..., live], slice(p, q + 1, q - p)  # rows or columns p and q
+    x[:, pq] = np.einsum("ijk,jlk->ilk", x[:, pq], r)
+    x[pq] = np.einsum("jik,jlk->ilk", r.conj(), x[pq])
+    av[..., live] = x
 
 
 def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
@@ -144,8 +151,8 @@ def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
 
     Cyclic Jacobi rotations, deterministic by construction: fixed sweep
     order over the upper triangle, convergence of each matrix when its
-    off-diagonal Frobenius norm drops to 1e-13 of its whole one (for entries
-    of about 1e-154 to 1e150: outside, their squares underflow or overflow),
+    off-diagonal Frobenius norm drops to 1e-13 of its whole one (at any scale;
+    entries below the smallest normal float count as zero and are not turned),
     eigenvalues sorted descending with exact ties broken by lexicographic
     comparison of the (phase-fixed) eigenvector entries. A stack (..., n, n)
     is solved in one pass, each matrix to the same bits as when solved alone.
@@ -165,28 +172,29 @@ def _jacobi(m: np.ndarray, vectors=True) -> EigenDecomposition:
     # Hermitian by construction (gamma^T gamma arrives real, hence the cast).
     # vectors=False runs the same rotations, which depend on a alone, and no more.
     m = np.asarray(m, dtype=complex)
-    n, eye = m.shape[-1], _eye(m.shape[-1])
+    n = m.shape[-1]
     a = ((m + _dag(m)) / 2.0).reshape(-1, n, n)
-    v = eye[None].repeat(len(a), axis=0) if vectors else None
+    av = np.eye(2 * n if vectors else n, n, -n, complex)[..., None].repeat(len(a), -1)
+    av[:n] = a.transpose(1, 2, 0)
 
     # live selects the matrices still rotating: all of them, as a slice,
     # until one converges, then an index array. tau overflows only for a
     # tiny |g|; t is then 0, its limit, and the rotation absorbs g's phase.
     with np.errstate(over="ignore"):
-        live = rotating = _unconverged(a, slice(None))
+        live = rotating = _unconverged(av[:n], slice(None))
         for _ in range(_MAX_SWEEPS):
             if live is None:
                 break
             for p in range(n - 1):
                 for q in range(p + 1, n):
-                    _rotate(a, v, live, p, q, eye)
-            live = _unconverged(a, live)
+                    _rotate(av, live, p, q)
+            live = _unconverged(av[:n], live)
     if live is not None:
         raise JacobiConvergenceError(
             f"no convergence after {_MAX_SWEEPS} sweeps on dimension {n}"
         )
 
-    lam = a.diagonal(axis1=-2, axis2=-1).real
+    lam, v = av[:n].diagonal(0, 0, 1).real, av[n:].transpose(2, 0, 1)
     rows, cols = np.arange(len(a))[:, None], np.arange(n)
     if vectors and rotating is not None:
         # Fix each eigenvector's global phase so its first entry above 1e-12 is real
@@ -241,7 +249,7 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 def _psd_root(dec: EigenDecomposition) -> np.ndarray:
     # V diag(root) V^dag: scaling the columns of V is the diagonal product.
     lam, vecs = dec
-    return (vecs * np.sqrt(np.maximum(lam, 0.0))[..., None, :]) @ _dag(vecs)
+    return _mm(vecs * np.sqrt(np.maximum(lam, 0.0))[..., None, :], _dag(vecs))
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -249,7 +257,7 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-1e-8, 0) are treated as roundoff and clamped to zero;
     anything below is rejected. m need not be a state, so not PSD_TOL: the
-    roundoff n eps ||m|| stays under 1e-8 for ||m|| from ~1e-154 to ~1e7.
+    roundoff n eps ||m|| stays under 1e-8 for ||m|| up to ~1e7.
     """
     return _psd_root(_floored(eig_hermitian(m), -1e-8, "matrix is not PSD, eigenvalue"))
 

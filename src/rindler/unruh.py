@@ -70,7 +70,7 @@ def unruh_temperature(a: float) -> float:
 
 
 def _check_angle(r: float, arrays: bool = False) -> float:
-    arr = _reals(r, arrays)
+    arr = _reals(r, arrays) + 0.0  # -0 as +0
     bad = ~((0.0 <= arr) & (arr <= R_MAX + 1e-12))
     if np.count_nonzero(bad):
         raise ValueError(f"mixing angle {_shown(r)[bad][0]} outside [0, pi/4]")

@@ -1,11 +1,10 @@
 """Results and CPU use that do not depend on how many threads OpenBLAS runs,
-and teleport estimates that do not depend on its kernel.
+and results that do not depend on its kernel.
 
-No product on a library or CLI path is large enough for OpenBLAS to hand
-part of it to another thread: the spheroid report is closed forms of one
-angle, and the teleport estimate contracts a sign table with the state's
-Pauli table by einsum, with no BLAS product at all. Each test runs a child
-interpreter on this checkout's `src`.
+No product in the package goes to BLAS: every matrix product and
+contraction is numpy's own einsum loop, and the spheroid report is closed
+forms of one angle. So no OpenBLAS thread count or kernel can change a bit.
+Each test runs a child interpreter on this checkout's `src`.
 """
 
 import contextlib
@@ -32,7 +31,9 @@ GEOMETRY_ARGV = [
 
 
 def _child(code: str, **env: str) -> str:
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    # tests/ as well: the child imports test_cli's golden argv.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"),
+                                         os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path, **env}, check=True)
     return done.stdout
@@ -109,13 +110,30 @@ def teleport_reprs() -> list:
     return reprs
 
 
-def test_teleport_estimates_do_not_depend_on_the_blas_kernel():
-    """A child under OPENBLAS_CORETYPE=Prescott, a kernel without FMA,
-    reproduces this process's teleport estimates bit for bit.
+def golden_outputs() -> dict:
+    """The stdout of every golden argv of test_cli, keyed by its argv, and the
+    values of fingerprint() and teleport_reprs()."""
+    import test_cli
+
+    outputs = {}
+    for argv in [*test_cli.GOLDEN_CASES.values(), test_cli.GEOMETRY_ARGV,
+                 *test_cli.GEOMETRY_GRIDS.values()]:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        outputs[" ".join(argv)] = out.getvalue()
+    return {**outputs, **fingerprint(), "teleport_reprs": teleport_reprs()}
+
+
+def test_results_do_not_depend_on_the_blas_kernel():
+    """A child under OPENBLAS_CORETYPE=Prescott, a kernel without FMA, prints
+    the bytes of every golden argv and reproduces the spheroid and teleport
+    goldens and 300 seeded teleport estimates as this process does.
 
     When numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, the variable is ignored
     and the test passes trivially.
     """
     code = (f"import json, runpy; print(json.dumps("
-            f"runpy.run_path({str(Path(__file__))!r})['teleport_reprs']()))")
-    assert json.loads(_child(code, OPENBLAS_CORETYPE="Prescott")) == teleport_reprs()
+            f"runpy.run_path({str(Path(__file__))!r})['golden_outputs']()))")
+    got, want = json.loads(_child(code, OPENBLAS_CORETYPE="Prescott")), golden_outputs()
+    assert got.keys() == want.keys()
+    assert [name for name in want if got[name] != want[name]] == []

@@ -353,6 +353,16 @@ class TestChannel:
         assert main(argv) == 2
         assert "error" in capsys.readouterr().err
 
+    # --r and --a are alternatives: both together were read as --r alone.
+    @pytest.mark.parametrize("argv", [
+        ["channel", "--r", "0.3", "--a", "1"],
+        ["channel", "--a", "4.6", "--omega", "0.1", "--r", "0.3", "--mode", "choi"],
+        ["channel", "--r=0.3", "--a", "1"],  # argparse's path
+    ])
+    def test_r_and_a_together_are_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: provide --r or --a, not both\n")
+
     def test_unknown_flag_shows_the_channel_usage(self, capsys):
         assert main(["channel", "--r", "0.1", "--bogus", "1"]) == 2
         stdout, stderr = capsys.readouterr()
@@ -591,6 +601,20 @@ GRID_LIMIT = f"--n-theta * --n-phi must be <= {cli.MAX_COUNT}, got"
 def test_counts_numpy_cannot_size_are_usage_errors(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# An angle of -0 is 0: it printed r = -0, a -0 operator entry and eccentricity=-0.
+@pytest.mark.parametrize("argv", [
+    ["channel", "--r", "-0"],
+    ["channel", "--r", "-0", "--mode", "invert"],
+    ["channel", "--r=-0", "--mode", "choi"],  # argparse's path
+    ["geometry", "--r", "-0", "--n-theta", "3", "--n-phi", "2"],
+])
+def test_negative_zero_angle_prints_as_zero(argv, capsys):
+    assert main(argv) == 0
+    got = capsys.readouterr().out
+    assert main([arg.replace("-0", "0") for arg in argv]) == 0
+    assert got == capsys.readouterr().out
 
 
 def test_help_exits_cleanly(capsys):

@@ -158,6 +158,11 @@ class TestSpheroidReport:
         assert rep.semi_axis_equatorial == rep.semi_axis_polar == 1.0
         assert rep.volume_fraction == 1.0
 
+    def test_negative_zero_angle_is_zero(self):
+        # -0 passed the range check as itself, and sin(-0) = -0 printed as -0.
+        assert repr(spheroid_report(-0.0)) == repr(spheroid_report(0.0))
+        assert np.copysign(1.0, spheroid_report(-0.0).eccentricity) == 1.0
+
     def test_golden_reports(self):
         # repr of every field for 30 angles (0, 1e-8, 0.3, pi/4 and seeded
         # random ones), recorded from the closed forms.

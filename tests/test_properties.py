@@ -62,6 +62,7 @@ from rindler.qmat import (
     _dag,
     _entropy,
     _jacobi,
+    _mm,
     _psd_root,
     eig_hermitian,
     partial_trace,
@@ -181,21 +182,25 @@ def hermitian_stacks(draw):
 
 
 @PROPERTY
-@given(m=hermitian_stacks(), k=st.floats(-15.0, 7.0))
+@given(m=hermitian_stacks(), k=st.floats(-250.0, 150.0))
 @example(m=np.array([[[0, 1], [1, 0]]], dtype=complex), k=-14.0)
 @example(m=np.array([[[0, 1], [1, 0]]], dtype=complex), k=3.0)
+@example(m=np.array([[[1, 1], [1, 1]]], dtype=complex), k=-205.0)
+@example(m=np.array([[[1, 1], [1, 1]]], dtype=complex), k=150.0)
 def test_spectra_scale_with_the_matrix(m, k):
-    # The solver stops at 1e-13 of each matrix's norm, so s m has s times m's
-    # spectrum within roundoff for every scale s from 1e-15 to 1e7. Under an
-    # absolute 1e-13 the first example was taken as diagonal and the second
-    # did not converge.
-    # Free-float draws may make every entry tiny: the rule holds above ~1e-154.
+    # The solver stops at 1e-13 of each matrix's norm, measured over its largest
+    # |entry|, so s m has s times m's spectrum within roundoff for every scale s
+    # from 1e-250 to 1e150. Under an absolute 1e-13 the first example was taken
+    # as diagonal and the second did not converge; on raw squares the third
+    # underflowed and the fourth overflowed, and both were taken as diagonal.
     big = np.abs(m).max(axis=(-2, -1))[..., None]
-    assume(np.all((big == 0.0) | (big > 1e-130)))
     s = 10.0 ** k
     lam = eig_hermitian(m).eigenvalues
     # Roundoff bound 32 n eps max|m_ij|: 3000 random draws reached 8.4 n eps.
-    tol = 32 * m.shape[-1] * np.finfo(float).eps * big
+    # Entries below the smallest normal float count as zero, in m and in s m:
+    # each moves the spectrum by less than that float, n TINY for all of them.
+    n, tiny = m.shape[-1], np.finfo(float).tiny
+    tol = 32 * n * np.finfo(float).eps * big + n * tiny * (1.0 + 1.0 / s)
     assert np.all(np.abs(eig_hermitian(s * m).eigenvalues / s - lam) <= tol)
 
 
@@ -354,29 +359,31 @@ def test_choi_matrix_equals_the_basis_construction(kmap):
 
 
 # The per-term loops that the stacked channel algebra replaced, kept as its
-# bitwise reference: Python sums from 0 in term order, one matrix at a time.
+# bitwise reference: Python sums from 0 in term order, one matrix at a time,
+# with the products of the library's own loop, _mm.
 def _terms(kmap):
     return list(zip(kmap.signs.tolist(), kmap.ops))
 
 
 def apply_by_terms(terms, rho):
-    return sum(sign * (op @ rho @ op.conj().T) for sign, op in terms)
+    return sum(sign * _mm(_mm(op, rho), op.conj().T) for sign, op in terms)
 
 
 def completeness_by_terms(terms):
-    acc = sum(sign * (op.conj().T @ op) for sign, op in terms)
+    acc = sum(sign * _mm(op.conj().T, op) for sign, op in terms)
     return float(np.max(np.abs(acc - np.eye(len(acc)))))
 
 
 def compose_by_terms(outer, inner):
-    return [(so * si, ko @ ki) for so, ko in _terms(outer) for si, ki in _terms(inner)]
+    return [(so * si, _mm(ko, ki))
+            for so, ko in _terms(outer) for si, ki in _terms(inner)]
 
 
 def choi_by_terms(terms):
     m = np.zeros((4, 4), dtype=complex)
     for sign, op in terms:
         v = op.reshape(4, order="F")
-        m += sign * np.outer(v, v.conj())
+        m += sign * np.einsum("i,j->ij", v, v.conj())
     return m / 2.0
 
 
@@ -573,7 +580,7 @@ def entropy_reference(lam):
 
 def psd_root_reference(dec):
     lam, vecs = dec
-    return (vecs * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]) @ _dag(vecs)
+    return _mm(vecs * np.sqrt(np.clip(lam, 0.0, None))[..., None, :], _dag(vecs))
 
 
 def f_max_reference(lam):
@@ -582,7 +589,7 @@ def f_max_reference(lam):
 
 def concurrence_reference(rho, dec):
     root = psd_root_reference(dec)
-    m = (((root[..., ::-1] * _YY_SIGNS) @ rho.conj())[..., ::-1] * _YY_SIGNS) @ root
+    m = _mm(_mm(root[..., ::-1] * _YY_SIGNS, rho.conj())[..., ::-1] * _YY_SIGNS, root)
     lam = _jacobi(m, vectors=False).eigenvalues
     lam = np.where(np.abs(lam) < WOOTTERS_EIG_FLOOR, 0.0, lam)
     vals = np.sqrt(np.clip(lam, 0.0, None))
@@ -602,17 +609,22 @@ def information_reference(rho, dec):
 
 
 def unconverged_reference(a, live):
+    # On a stack (k, n, n): one row of squares a matrix, summed along it.
     n = a.shape[-1]
-    sq = np.abs(a[live]).reshape(-1, n * n) ** 2
-    tol = 1e-13 * np.sqrt(sq.sum(axis=-1))
+    x = np.abs(a[live]).reshape(-1, n * n)
+    x[x < np.finfo(float).tiny] = 0.0
+    big = x.max(axis=-1, keepdims=True)
+    sq = (x / np.where(big > 0.0, big, 1.0)) ** 2
+    whole = sq.sum(axis=-1)
     sq[:, :: n + 1] = 0.0
-    keep = ~(np.sqrt(sq.sum(axis=-1)) <= tol)
+    keep = ~(sq.sum(axis=-1) <= 1e-26 * whole)
     if keep.all():
         return live
     return np.arange(len(a))[live][keep] if keep.any() else None
 
 
-def rotate_reference(a, v, live, p, q, eye):
+def rotate_reference(a, v, live, p, q):
+    # On stacks (k, n, n), by _mm: the solver stacks its matrices last instead.
     g = a[live, p, q]
     absg = np.hypot(g.real, g.imag)
     turn = absg >= np.finfo(float).tiny
@@ -626,12 +638,12 @@ def rotate_reference(a, v, live, p, q, eye):
     np.negative(t, out=t, where=tau < 0)
     c = 1.0 / np.sqrt(1.0 + t * t)
     s = t * c
-    j = np.empty((len(g),) + eye.shape, dtype=complex)
-    j[:] = eye
-    j[:, p, p], j[:, p, q], j[:, q, p], j[:, q, q] = c, s, -s * phase, c * phase
-    a[live] = _dag(j) @ a[live] @ j
-    if v is not None:
-        v[live] = v[live] @ j
+    # Columns p and q of a and of v, then rows p and q of a, by the 2x2 rotation.
+    r = np.array([[c, s], [-s * phase, c * phase]]).transpose(2, 0, 1)
+    b, w, pq = a[live], v[live], [p, q]
+    b[..., pq], w[..., pq] = _mm(b[..., pq], r), _mm(w[..., pq], r)
+    b[..., pq, :] = _mm(_dag(r), b[..., pq, :])
+    a[live], v[live] = b, w
 
 
 # Signed zeros, subnormals, roundoff-sized negatives and NaN: where clip, max and
@@ -724,16 +736,18 @@ def test_solver_decisions_equal_the_any_all_forms(m, subset):
     # The sweeps run under _jacobi's errstate: in the example a 9.2e-244 |g|
     # overflows tau * tau, whose limit t = 0 both rotations take.
     n = m.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=complex), (n, n))
     starts = [slice(None)]
     picked = np.flatnonzero(subset[:len(m)])
     if picked.size:
         starts.append(picked)
     for live in starts:
-        a = ((m + _dag(m)) / 2.0).reshape(-1, n, n)
-        v = eye[None].repeat(len(a), axis=0)
+        # The solver's layout, the matrices last and a's rows over v's; a and v
+        # are views of it as stacks.
+        av = np.empty((2 * n, n, len(m)), dtype=complex)
+        av[:n], av[n:] = ((m + _dag(m)) / 2.0).transpose(1, 2, 0), np.eye(n)[..., None]
+        a, v = av[:n].transpose(2, 0, 1), av[n:].transpose(2, 0, 1)
         for _ in range(3):
-            got = qmat._unconverged(a, live)
+            got = qmat._unconverged(av[:n], live)
             assert _same_decision(got, unconverged_reference(a, live), live)
             live = got
             if live is None:
@@ -741,7 +755,7 @@ def test_solver_decisions_equal_the_any_all_forms(m, subset):
             for p in range(n - 1):
                 for q in range(p + 1, n):
                     a_ref, v_ref = a.copy(), v.copy()
-                    rotate_reference(a_ref, v_ref, live, p, q, eye)
-                    qmat._rotate(a, v, live, p, q, eye)
+                    rotate_reference(a_ref, v_ref, live, p, q)
+                    qmat._rotate(av, live, p, q)
                     assert_same_bits(a, a_ref)
                     assert_same_bits(v, v_ref)

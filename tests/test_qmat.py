@@ -247,6 +247,22 @@ class TestEigHermitian:
         lam = eig_hermitian(np.array([[0, 1e-14], [1e-14, 0]])).eigenvalues
         assert_allclose(lam, [1e-14, -1e-14], rtol=1e-15, atol=0)
 
+    # The stopping rule measures each matrix over its largest |entry|. On the raw
+    # squares a matrix below about 1e-154 counted as converged at once, as if
+    # diagonal: 4.3e-206 [[1, 1], [1, 1]] gave [4.3e-206, 4.3e-206]. Above about
+    # 1e150 the squares overflowed, with the same result.
+    @pytest.mark.parametrize("scale", [4.3e-206, 1e-300, 1e200, 1e300])
+    def test_entries_of_any_scale_rotate(self, scale):
+        lam = eig_hermitian(scale * np.ones((2, 2))).eigenvalues
+        assert_allclose(lam, [2.0 * scale, 0.0], rtol=1e-15, atol=1e-15 * scale)
+
+    def test_subnormal_matrices_count_as_diagonal(self):
+        # Entries below the smallest normal float count as zero, as the rotation
+        # leaves them; so does the zero matrix. Both converge without a rotation.
+        lam = eig_hermitian(1e-323 * np.ones((2, 2))).eigenvalues
+        assert lam.tolist() == [1e-323, 1e-323]
+        assert eig_hermitian(np.zeros((2, 2))).eigenvalues.tolist() == [0.0, 0.0]
+
     def test_subnormal_off_diagonal_entries(self):
         # g / |g| overflows for a subnormal g; such entries count as zero.
         rho = np.zeros((4, 4), dtype=complex)
@@ -478,7 +494,7 @@ def test_empty_stacks_are_rejected(call, shape):
 @pytest.mark.parametrize("vectors", [True, False])
 @pytest.mark.parametrize("n", [2, 4])
 def test_solver_returns_empty_results_for_an_empty_stack(n, vectors):
-    assert qmat._unconverged(np.zeros((0, n, n), dtype=complex), slice(None)) is None
+    assert qmat._unconverged(np.zeros((n, n, 0), dtype=complex), slice(None)) is None
     dec = _jacobi(np.zeros((0, n, n), dtype=complex), vectors=vectors)
     assert dec.eigenvalues.shape == (0, n)
     if vectors:

@@ -8,6 +8,7 @@ failing; these checks catch it.
 import importlib.util
 import itertools
 import json
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -33,7 +34,7 @@ def test_library_records_of_the_first_states_hold_no_error():
 
 def test_solver_records_at_every_scale_hold_no_error():
     # 1e3 and 1e7 raised JacobiConvergenceError while the solver's stopping
-    # rule was an absolute 1e-13.
+    # rule was an absolute 1e-13; at 1e-200 the squares of its entries underflow.
     records = list(cli_corpus._solver_records(rindler))
     assert len(records) == 2 * cli_corpus.SOLVER_MATRICES * len(cli_corpus.SOLVER_SCALES)
     assert [rec for rec in records if "error" in rec] == []
@@ -103,3 +104,17 @@ def test_compare_lists_one_sided_records_apart(tmp_path, capsys):
     assert lines[7] == ("lib measure_report: 3 records, 1 differ, 1 only in before,"
                         " 1 only in after, max |change| 0.25")
     assert cli_corpus.compare(paths[0], paths[0]) == 0
+
+
+def test_closed_stdout_ends_compare_quietly(tmp_path):
+    # `compare A B | head`: the reader closes the pipe before the listing ends.
+    runs = [{"argv": [str(i)], "to_file": False, "rc": 0, "stdout": "",
+             "stderr": "", "file": None} for i in range(20000)]
+    before, after = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
+    before.write_text("".join(json.dumps(rec) + "\n" for rec in runs))
+    after.write_text("".join(json.dumps({**rec, "rc": 1}) + "\n" for rec in runs))
+    child = subprocess.Popen([sys.executable, str(TOOL), "compare", str(before),
+                              str(after)], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    err = child.stderr.read()
+    assert (child.wait(timeout=60), err) == (1, b"")

@@ -23,7 +23,7 @@ those, so that every earlier record keeps its place, `spheroid_report(r_i)`
 of each of the 300 angles, listed as `lib spheroid_report #17`: every field,
 the center's three coordinates first. Last, `eig_hermitian` of s (G + G^dag)
 and `sqrt_psd` of s G G^dag for 24 seeded complex normal G of dimension 2, 4
-and 8 in turn, each at the scales s of `SOLVER_SCALES` (1e-15 to 1e7), listed
+and 8 in turn, each at the scales s of `SOLVER_SCALES` (1e-200 to 1e7), listed
 as `lib eig_hermitian scaled #k`, `lib sqrt_psd scaled #k`: every state above
 has entries of at most 1, where the solver's stopping rule does not show its
 scale. Dump the corpus on two source trees and compare:
@@ -36,6 +36,8 @@ scale. Dump the corpus on two source trees and compare:
 "only in before" or "only in after", each one that only one dump holds. It
 counts the library records apart from the CLI runs, with the largest
 |change| of a value per function, and exits 1 if anything is listed.
+Either command stops quietly, with exit 1, if its reader closes stdout
+early, as `compare before.jsonl after.jsonl | head` does.
 The corpus covers sweep (csv/json x log/linear, 2 to 2000 rows, omega
 0.005 to 20, a ratios up to 1e6), all channel modes at r = 0, 1e-6, 1e-3,
 pi/4, at random r and at random --a/--omega, kraus and invert on both sides
@@ -46,7 +48,7 @@ subnormal), a sweep at subnormal accelerations, geometry grids from 2x2 to
 and pi/4; 31x29 at r = 5e-324 and 1.9e-162), usage and I/O errors, forms at
 the edge of the parser's table path (`TABLE_EDGES`), and an overflowing log
 grid and counts numpy cannot size (`LARGE_VALUES`): 1262 argv in 2474 runs,
-and 3492 library records.
+and 3540 library records.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 import sys
 import tempfile
@@ -302,7 +305,8 @@ LIB_FUNCTIONS = {
 
 # Scales of the solver records: far from the entries of at most 1 that every
 # state above has, so that a stopping rule tied to one scale shows in a dump.
-SOLVER_SCALES = (1e-15, 1e-8, 1e3, 1e7)
+# At 1e-200 the squares of the entries underflow.
+SOLVER_SCALES = (1e-15, 1e-8, 1e3, 1e7, 1e-200)
 SOLVER_MATRICES = 24
 
 
@@ -359,8 +363,11 @@ def _lib_records(rindler):
 
 
 def _solver_records(rindler):
-    # Matrix k at scale j is record #(4k + j) of each function.
-    scaled = [(h * s, p * s) for h, p in solver_matrices() for s in SOLVER_SCALES]
+    # Matrix k at scale j is record #(4k + j) of each function for the first four
+    # scales; those at 1e-200, added later, follow them, so no earlier one moved.
+    pairs = solver_matrices()
+    scaled = [(h * s, p * s) for h, p in pairs for s in SOLVER_SCALES[:4]]
+    scaled += [(h * s, p * s) for s in SOLVER_SCALES[4:] for h, p in pairs]
     for i, (h, p) in enumerate(scaled):
         yield _record(f"eig_hermitian scaled #{i}", lambda: rindler.eig_hermitian(h))
         yield _record(f"sqrt_psd scaled #{i}", lambda: rindler.sqrt_psd(p))
@@ -484,4 +491,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:  # the reader left, as `| head` does: stop without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
