@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmat import _dag, _hermitian, _jacobi, _mm
+from .qmat import _dag, _hermitian, _jacobi, _mm, _roundoff
 from .unruh import _check_angle, _reals
 
 
@@ -144,12 +144,6 @@ def choi_matrix(kmap: KrausMap) -> ChoiMatrix:
     return ChoiMatrix(m / 2.0)
 
 
-def _roundoff(lam: np.ndarray) -> float:
-    # n eps max|lam|: the size of the error the solve of an n x n matrix
-    # can leave on an exact zero eigenvalue, relative to the largest one.
-    return len(lam) * np.finfo(float).eps * float(np.max(np.abs(lam)))
-
-
 def kraus_from_choi(choi: ChoiMatrix) -> KrausMap:
     """Recover a signed operator-sum form from a Choi matrix.
 
@@ -168,7 +162,7 @@ def kraus_from_choi(choi: ChoiMatrix) -> KrausMap:
 def is_cp(choi: ChoiMatrix) -> CpVerdict:
     """Complete positivity test: no Choi eigenvalue below -4 eps max|eigenvalue|.
 
-    kraus_from_choi drops the eigenvalues within this roundoff floor of zero.
+    kraus_from_choi drops the eigenvalues within this floor, qmat's _roundoff, of zero.
     """
     lam = _jacobi(choi.matrix, vectors=False).eigenvalues
     return CpVerdict(bool(lam[-1] >= -_roundoff(lam)), float(lam[-1]), lam)

@@ -22,7 +22,7 @@ from .channels import choi_matrix, inverse_unruh, is_cp, kraus_from_choi, unruh_
 from .correlations import measure_report
 from .geometry import spheroid_report, surface_grid
 from .qmat import JacobiConvergenceError
-from .unruh import R_MAX, mixing_angle, shared_state
+from .unruh import _check_angle, mixing_angle, shared_state
 
 SWEEP_HEADER = "a,r,bell_half,concurrence,f_max,qmid"
 # One sweep row as a %-template: CSV, and JSON in the layout of json.dumps(indent=2).
@@ -125,9 +125,7 @@ def _resolve_angle(args) -> float:
     if args.r is not None:
         if getattr(args, "a", None) is not None:  # geometry has no --a
             raise ValueError("provide --r or --a, not both")
-        if not 0.0 <= args.r <= R_MAX + 1e-12:
-            raise ValueError(f"--r {args.r} outside [0, pi/4]")
-        return args.r + 0.0  # -0 prints as 0
+        return _check_angle(args.r)  # -0 comes back as 0
     if args.a is None:
         raise ValueError("provide --r, or --a together with --omega")
     return mixing_angle(args.a, args.omega)

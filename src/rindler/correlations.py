@@ -24,13 +24,9 @@ from .qmat import (
     _jacobi,
     _mm,
     _psd_root,
+    _roundoff,
     _whole,
 )
-
-# Spectrum floor for the Wootters construction: eigenvalues this close
-# to zero are roundoff on exact zeros and would blow up to ~1e-8 under
-# the square root if kept.
-WOOTTERS_EIG_FLOOR = 1e-12
 
 # A marginal whose eigenvalue gap is below this dephases in the computational basis;
 # 1e-9 is far above an exact tie's gap (~1e-16 by roundoff, ~1e-12 by 12-digit text).
@@ -119,9 +115,10 @@ def bell_B(rho: np.ndarray) -> float:
 def _concurrence(rho: np.ndarray, dec: EigenDecomposition) -> np.ndarray:
     root = _psd_root(dec)
     m = _mm(_mm(root[..., ::-1] * _YY_SIGNS, rho.conj())[..., ::-1] * _YY_SIGNS, root)
-    # The floor also makes +0 of any zero whose sign the reversals changed.
+    # Eigenvalues within the roundoff of the state's spectrum (not their own, all roundoff
+    # on a product) become +0, as do zeros whose sign the reversals changed.
     lam = _jacobi(m, vectors=False).eigenvalues
-    lam = np.where(np.abs(lam) < WOOTTERS_EIG_FLOOR, 0.0, lam)
+    lam = np.where(np.abs(lam) <= _roundoff(dec.eigenvalues)[..., None], 0.0, lam)
     vals = np.sqrt(np.maximum(lam, 0.0))
     c = vals[..., 0] - vals[..., 1] - vals[..., 2] - vals[..., 3]
     return np.where(c > 0.0, c, 0.0)
@@ -130,9 +127,10 @@ def _concurrence(rho: np.ndarray, dec: EigenDecomposition) -> np.ndarray:
 def concurrence(rho: np.ndarray) -> float:
     """Wootters entanglement measure of a two-qubit state.
 
-    Complex conjugation is taken in the computational basis. The
-    spin-flipped spectrum is floored at WOOTTERS_EIG_FLOOR before the
-    square root, which keeps exact zeros exact.
+    Complex conjugation is taken in the computational basis. An eigenvalue
+    of the spin-flipped matrix within the roundoff 4 eps max|eigenvalue| of
+    rho's own spectrum is taken as zero before the square root, which keeps
+    exact zeros exact.
     """
     return float(_concurrence(*_two_qubit(rho)))
 

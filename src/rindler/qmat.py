@@ -16,9 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-10
-PSD_TOL = -1e-10
-_TINY = np.finfo(float).tiny
+# The one input tolerance, above float and 12-digit-text errors: of Hermiticity, of a
+# state's trace, and of a least eigenvalue, as a share of its spectrum's sum (_floored).
+INPUT_TOL = 1e-10
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 _MAX_SWEEPS = 100
 # a @ b, stacked, by numpy's own loop: BLAS rounds by the kernel the CPU picks.
 _mm = functools.partial(np.einsum, "...ij,...jk->...ik")
@@ -56,8 +57,8 @@ def _hermitian(m: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not m.size:
         raise ValueError(f"expected a non-empty matrix or stack, got shape {m.shape}")
-    if not np.abs(m - _dag(m)).max() <= HERMITIAN_TOL:
-        raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL}")
+    if not np.abs(m - _dag(m)).max() <= INPUT_TOL:
+        raise ValueError(f"{name} is not Hermitian within {INPUT_TOL}")
     return m
 
 
@@ -215,23 +216,30 @@ def _jacobi(m: np.ndarray, vectors=True) -> EigenDecomposition:
     return EigenDecomposition(lam.reshape(m.shape[:-1]), vecs.reshape(m.shape))
 
 
-def _floored(dec: EigenDecomposition, floor: float, what: str) -> EigenDecomposition:
-    # dec, if no matrix's least eigenvalue is below floor; else name the first that is.
+def _roundoff(lam: np.ndarray) -> np.ndarray:
+    # n eps max|lam| of each spectrum on the last axis: the size of the error the solve
+    # of an n x n matrix can leave on an exact zero eigenvalue, relative to the largest.
+    return lam.shape[-1] * _EPS * np.abs(lam).max(-1)
+
+
+def _floored(dec: EigenDecomposition, what: str) -> EigenDecomposition:
+    # dec, if no matrix's least eigenvalue is below -INPUT_TOL times its spectrum's
+    # sum; else name the first that is.
     low = dec.eigenvalues[..., -1]
-    if np.count_nonzero(low < floor):
-        raise ValueError(f"{what} {low[low < floor][0]}")
+    bad = low < -INPUT_TOL * np.add.reduce(dec.eigenvalues, -1)
+    if np.count_nonzero(bad):
+        raise ValueError(f"{what} {low[bad][0]}")
     return dec
 
 
 def _checked_eig(m: np.ndarray, name: str, vectors=True) -> EigenDecomposition:
     # Density-matrix checks of a matrix or a stack, naming its first bad one.
     m = _hermitian(m, name)
-    # 1e-10 as HERMITIAN_TOL: above float and 12-digit-text trace errors.
     tr = np.asarray(m.trace(axis1=-2, axis2=-1))
-    bad = np.hypot(tr.real - 1.0, tr.imag) > 1e-10
+    bad = np.hypot(tr.real - 1.0, tr.imag) > INPUT_TOL
     if np.count_nonzero(bad):
         raise ValueError(f"{name} has trace {tr[bad][0]}, expected 1")
-    return _floored(_jacobi(m, vectors), PSD_TOL, f"{name} has negative eigenvalue")
+    return _floored(_jacobi(m, vectors), f"{name} has negative eigenvalue")
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -255,11 +263,11 @@ def _psd_root(dec: EigenDecomposition) -> np.ndarray:
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix, or of each in a stack.
 
-    Eigenvalues in [-1e-8, 0) are treated as roundoff and clamped to zero;
-    anything below is rejected. m need not be a state, so not PSD_TOL: the
-    roundoff n eps ||m|| stays under 1e-8 for ||m|| up to ~1e7.
+    Eigenvalues in [-INPUT_TOL tr m, 0) are clamped to zero and anything below
+    is rejected: the state check's rule, scaled with m. The solver's roundoff,
+    n eps max|eigenvalue| <= n eps tr m, stays inside it at any scale.
     """
-    return _psd_root(_floored(eig_hermitian(m), -1e-8, "matrix is not PSD, eigenvalue"))
+    return _psd_root(_floored(eig_hermitian(m), "matrix is not PSD, eigenvalue"))
 
 
 def _entropy(lam: np.ndarray) -> np.ndarray:

@@ -54,6 +54,23 @@ def random_product_state(rng):
     return np.kron(random_qubit_density(rng), random_qubit_density(rng))
 
 
+def random_pure_product(rng):
+    a, b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    psi = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+    return np.outer(psi, psi.conj())
+
+
+def tiny_gap_x_state(gap):
+    # rho11 = rho22 = 0.01, rho03 = 0.2 and sqrt(rho00 rho33) = 0.2 + gap: the
+    # Wootters spectrum holds gap^2, and the concurrence is 2 (0.2 - 0.01) = 0.38.
+    total, product = 0.98, (0.2 + gap) ** 2
+    rho = np.diag([0.0, 0.01, 0.01, 0.0]).astype(complex)
+    rho[0, 0] = (total + np.sqrt(total * total - 4.0 * product)) / 2.0
+    rho[3, 3] = total - rho[0, 0]
+    rho[0, 3] = rho[3, 0] = 0.2
+    return rho
+
+
 def random_x_state(rng):
     p = rng.random(4) + 0.05
     p = p / p.sum()
@@ -246,6 +263,27 @@ class TestConcurrence:
 
     def test_survives_infinite_acceleration(self):
         assert concurrence(shared_state(np.pi / 4)) > 0.7
+
+    @pytest.mark.parametrize("gap", [1e-7, 3e-7, 1e-6])
+    def test_x_state_keeps_a_tiny_wootters_eigenvalue(self, gap):
+        # gap^2 is 1e-14 to 1e-12, above the roundoff of the state's spectrum: a fixed
+        # floor of 1e-12 zeroed it, and the concurrence came out gap too high.
+        rho = tiny_gap_x_state(gap)
+        assert abs(np.sqrt((rho[0, 0] * rho[3, 3]).real) - 0.2 - gap) < 1e-16
+        assert concurrence(rho) == pytest.approx(0.38, abs=1e-9)
+        assert x_state_concurrence(rho) == pytest.approx(0.38, abs=1e-15)
+
+    def test_products_and_their_mixtures_are_exactly_unentangled(self):
+        # A product's Wootters spectrum is all roundoff: a floor read off that spectrum
+        # itself, 4 eps max|lambda|, left every pure product a concurrence of some 1e-9.
+        # The mixtures are of mixed products, whose rank is full.
+        rng = np.random.default_rng(127)
+        pure = [random_pure_product(rng) for _ in range(200)]
+        mixed = [w * random_product_state(rng) + (1.0 - w) * random_product_state(rng)
+                 for w in rng.random(100)]
+        states = np.stack(pure + mixed)
+        assert [concurrence(rho) for rho in states] == [0.0] * len(states)
+        assert not np.any(measure_report(states).concurrence)
 
 
 class TestTeleportationFidelity:

@@ -282,8 +282,8 @@ class TestSqrtPsd:
                         np.diag([2.0, 1.0, 0.0, 0.0]), atol=1e-13)
 
     def test_entries_near_100(self):
-        # ||m|| ~ 1e3, inside the docstring's 1e7; it raised JacobiConvergenceError
-        # while the solver's stopping rule was an absolute 1e-13.
+        # ||m|| ~ 1e3; it raised JacobiConvergenceError while the solver's stopping
+        # rule was an absolute 1e-13.
         m = 100.0 * random_psd(np.random.default_rng(2), 4)
         root = sqrt_psd(m)
         assert_allclose(root @ root, m, rtol=0, atol=1e-11)
@@ -302,10 +302,35 @@ class TestSqrtPsd:
             sqrt_psd(np.diag([1.0, -1e-4]))
 
     def test_clamp_boundary(self):
-        # -1e-8 is the most negative eigenvalue still clamped as roundoff.
-        assert_allclose(sqrt_psd(np.diag([1.0, -1e-8])), np.diag([1.0, 0.0]), atol=0)
-        with pytest.raises(ValueError, match="not PSD"):
-            sqrt_psd(np.diag([1.0, np.nextafter(-1e-8, -1.0)]))
+        # -INPUT_TOL times the trace is the most negative eigenvalue still clamped as
+        # roundoff. The trace of diag(1 + tol, -tol) rounds to 1, and a power of two
+        # scales it exactly, so the floor is -tol * scale itself.
+        tol = qmat.INPUT_TOL
+        for scale in (1.0, 2.0**40, 2.0**-60):
+            top, low = (1.0 + tol) * scale, -tol * scale
+            assert top + low == scale and np.nextafter(low, -np.inf) + top == scale
+            assert_allclose(sqrt_psd(np.diag([top, low])),
+                            np.diag([np.sqrt(top), 0.0]), atol=0)
+            with pytest.raises(ValueError, match="not PSD"):
+                sqrt_psd(np.diag([top, np.nextafter(low, -np.inf)]))
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_rank_deficient_matrices_of_any_scale_are_roots(self, n):
+        # s G G^dag with G of shape (n, n - 1): one exact zero eigenvalue, which the
+        # solve leaves as roundoff of about n eps s ||G||^2. An absolute -1e-8 floor
+        # rejected many of these from s = 1e7 up.
+        rng = np.random.default_rng(41 + n)
+        for _ in range(10):
+            g = rng.normal(size=(n, n - 1)) + 1j * rng.normal(size=(n, n - 1))
+            gg = np.einsum("ij,kj->ik", g, g.conj())  # exactly Hermitian
+            for s in (1e-200, 1e-8, 1.0, 1e8, 1e9, 1e10, 1e11, 1e12):
+                root = sqrt_psd(s * gg)
+                assert np.abs(root @ root - s * gg).max() <= 1e-12 * s * np.abs(gg).max()
+
+    def test_rejects_a_small_matrix_far_below_its_floor(self):
+        # -1e-9 is a thousandth of the spectrum: no roundoff, at any scale.
+        with pytest.raises(ValueError, match="not PSD, eigenvalue -1e-09"):
+            sqrt_psd(1e-6 * np.diag([1.0, -1e-3]))
 
     def test_stack_equals_the_roots_one_at_a_time(self):
         rng = np.random.default_rng(17)
@@ -314,7 +339,8 @@ class TestSqrtPsd:
             want = np.stack([sqrt_psd(m) for m in stack])
             assert np.array_equal(sqrt_psd(stack).view(np.int64), want.view(np.int64))
 
-    # The first matrix whose least eigenvalue is below -1e-8 is named.
+    # The first matrix whose least eigenvalue is below -INPUT_TOL times its trace
+    # is named.
     @pytest.mark.parametrize("bad", [0, 2])
     def test_stack_names_the_first_non_psd_matrix(self, bad):
         stack = np.stack([np.diag([1.0, 0.5])] * 4)

@@ -40,6 +40,13 @@ def test_solver_records_at_every_scale_hold_no_error():
     assert [rec for rec in records if "error" in rec] == []
 
 
+def test_near_separable_records_hold_no_error():
+    records = list(cli_corpus._near_separable_records(rindler))
+    assert len(records) == 3 * cli_corpus.NEAR_SEPARABLE + len(cli_corpus.X_STATE_GAPS)
+    assert [rec for rec in records if "error" in rec] == []
+    assert [len(rec["values"]) for rec in records] == [5] * len(records)
+
+
 def test_out_file_keeps_its_line_ends(tmp_path):
     def main(argv):
         Path(argv[-1]).write_bytes(b"a\r\nb\rc\n")

@@ -26,7 +26,12 @@ and `sqrt_psd` of s G G^dag for 24 seeded complex normal G of dimension 2, 4
 and 8 in turn, each at the scales s of `SOLVER_SCALES` (1e-200 to 1e7), listed
 as `lib eig_hermitian scaled #k`, `lib sqrt_psd scaled #k`: every state above
 has entries of at most 1, where the solver's stopping rule does not show its
-scale. Dump the corpus on two source trees and compare:
+scale. Last, every `measure_report` field of 303 near-separable states
+(`near_separable_states`: 100 seeded pure products, 100 mixtures of two, 100
+pure products plus 1e-7 of a Bell state, and three X states), listed as
+`lib measure_report near-separable #k`: their Wootters spectra hold roundoff
+zeros and, in the X states, eigenvalues of 1e-14 to 1e-12, where the
+concurrence's floor acts. Dump the corpus on two source trees and compare:
 
     python tools/cli_corpus.py dump before.jsonl --src /path/to/old/src
     python tools/cli_corpus.py dump after.jsonl
@@ -48,7 +53,7 @@ subnormal), a sweep at subnormal accelerations, geometry grids from 2x2 to
 and pi/4; 31x29 at r = 5e-324 and 1.9e-162), usage and I/O errors, forms at
 the edge of the parser's table path (`TABLE_EDGES`), and an overflowing log
 grid and counts numpy cannot size (`LARGE_VALUES`): 1262 argv in 2474 runs,
-and 3540 library records.
+and 3843 library records.
 """
 
 from __future__ import annotations
@@ -342,6 +347,39 @@ def lib_states() -> list:
     return states
 
 
+# Near-separable states, NEAR_SEPARABLE of each seeded family in turn: pure products,
+# mixtures of two of them, and pure products plus 1e-7 of a Bell state; then the X
+# states of X_STATE_GAPS (rho11 = rho22 = 0.01, rho03 = 0.2, sqrt(rho00 rho33) =
+# 0.2 + gap). Their Wootters spectra hold roundoff zeros, which the concurrence's
+# floor must zero, and in the X states an eigenvalue gap^2 (1e-14 to 1e-12) it must keep.
+NEAR_SEPARABLE = 100
+X_STATE_GAPS = (1e-7, 3e-7, 1e-6)
+
+
+def near_separable_states() -> list:
+    """The seeded near-separable states; identical on every run and every tree."""
+    rng = np.random.default_rng(SEED + 6)
+    bell = np.zeros((4, 4), complex)
+    bell[::3, ::3] = 0.5
+
+    def product():
+        a, b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        psi = np.kron(a, b)
+        psi /= math.sqrt(np.einsum("i,i", psi.conj(), psi).real)
+        return np.einsum("i,j->ij", psi, psi.conj())
+
+    pure = [product() for _ in range(NEAR_SEPARABLE)]
+    mixed = [w * product() + (1.0 - w) * product() for w in rng.random(NEAR_SEPARABLE)]
+    tinted = [(1.0 - 1e-7) * product() + 1e-7 * bell for _ in range(NEAR_SEPARABLE)]
+    x_states = []
+    for gap in X_STATE_GAPS:
+        rho = np.diag([0.0, 0.01, 0.01, 0.0]).astype(complex)
+        rho[0, 0] = (0.98 + math.sqrt(0.98 ** 2 - 4.0 * (0.2 + gap) ** 2)) / 2.0
+        rho[3, 3], rho[0, 3], rho[3, 0] = 0.98 - rho[0, 0], 0.2, 0.2
+        x_states.append(rho)
+    return pure + mixed + tinted + x_states
+
+
 def _record(name: str, call) -> dict:
     rec = {"lib": name}
     try:
@@ -360,6 +398,7 @@ def _lib_records(rindler):
         yield _record(f"spheroid_report #{i}",
                       lambda: rindler.spheroid_report(_angle(i)))
     yield from _solver_records(rindler)
+    yield from _near_separable_records(rindler)
 
 
 def _solver_records(rindler):
@@ -371,6 +410,12 @@ def _solver_records(rindler):
     for i, (h, p) in enumerate(scaled):
         yield _record(f"eig_hermitian scaled #{i}", lambda: rindler.eig_hermitian(h))
         yield _record(f"sqrt_psd scaled #{i}", lambda: rindler.sqrt_psd(p))
+
+
+def _near_separable_records(rindler):
+    for i, rho in enumerate(near_separable_states()):
+        yield _record(f"measure_report near-separable #{i}",
+                      lambda: rindler.measure_report(rho))
 
 
 def _run(main, argv: list[str], out_path: Path | None) -> dict:
@@ -461,7 +506,7 @@ def compare(a: Path, b: Path) -> int:
     print(f"{n_argv} argv, {len(keys)} runs, {len(runs[0])} differ, "
           f"{len(runs[1])} only in before, {len(runs[2])} only in after")
     for func in [*LIB_FUNCTIONS, "spheroid_report", "eig_hermitian scaled",
-                 "sqrt_psd scaled"]:
+                 "sqrt_psd scaled", "measure_report near-separable"]:
         total, moved, before, after = ([k for k in group if k.split(" #")[0] == func]
                                        for group in (names, *libs))
         delta = max((_largest_change(left_lib[k], right_lib[k]) for k in moved),
